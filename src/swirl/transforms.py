@@ -1,23 +1,40 @@
 """Forward and inverse spin-weighted spherical Fourier transforms.
 
 The forward transform extends the signal to the torus, runs a 2D Fourier
-analysis (FFT or explicit DFT-matrix products), applies the
-colatitude-frequency quadrature weights, and contracts with the Delta
-tables:
+analysis (FFT or explicit DFT-matrix products) and applies the
+colatitude-frequency quadrature weights, giving the inner products
+I_{m',m}.  It then contracts them with the Delta tables, one matmul per
+order m against the kernel
 
-    coeff(l, m) = (-1)^s i^(m+s) sqrt((2l+1)/(4pi))
-                  * sum_{m'} Delta^l_{m',m} Delta^l_{m',-s} I_{m',m}
+    K_s[m, l, m'] = alpha_l Delta^l_{m',m} Delta^l_{m',-s},
+    alpha_l = sqrt((2l+1)/(4pi)),
 
-The inverse assembles the G matrix
+    coeff(l, m) = (-1)^s i^(m+s) sum_{m'} K_s[m, l, m'] I_{m',m}.
 
-    G_{m',m} = (-1)^s i^(m+s) sum_l sqrt((2l+1)/(4pi))
-               * Delta^l_{-m',-s} Delta^l_{-m',m} coeff(l, m)
+The inverse applies the transpose of the same kernel to assemble
 
-and synthesizes samples with a 2D Fourier synthesis.  In the reduced
-symmetry path only half of the m' range is computed; the other half
-follows from the Delta symmetries (J fold in analysis, G fold in
-synthesis).  All four backend/path combinations are numerically
+    G_{-m',m} = (-1)^s i^(m+s) sum_l K_s[m, l, m'] coeff(l, m)
+
+and synthesizes samples with a 2D Fourier synthesis.  The kernel is read
+from rows of the tables: by the transpose symmetry
+K_s[m, l, m'] = (-1)^(m+s) alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}, and
+since Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}, G_{m',m} is the same
+sum up to (-1)^(m+s).  Both signs join the per-order phase.  Orders m < 0
+reuse the kernel of -m: Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m}
+holds exactly in the stored tables, so the sign (-1)^m' moves onto the
+input (forward) or output (inverse) and (-1)^l onto the other side.
+
+The two symmetry paths differ only in the kernel rows m'.  The full path
+builds every row from the tables, so G is computed without imposing its
+symmetry G_{-m',m} = (-1)^(m+s) G_{m',m}.  The reduced path builds only
+m' >= 0: the forward folds I_{m',m} + (-1)^(m+s) I_{-m',m} into those rows
+before the matmul, and the inverse fills the rows m' < 0 of G by that
+symmetry after it.  All four backend/path combinations are numerically
 equivalent; they differ only in speed.
+
+Kernels are transient: each call rebuilds them from the WignerTables in
+chunks of orders of at most _KERNEL_CHUNK_BYTES, and nothing beyond the
+tables is cached.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ import numpy as np
 
 from . import grid as grid_mod
 from .grid import SphericalGrid, weight_matrix
-from .signal import SpinCoefficients, SpinSignal, degree_slice, num_coefficients
+from .signal import SpinCoefficients, SpinSignal, degree_of_index, num_coefficients
 from .wigner import WignerTables, _I_POW
 
 FOURIER_BACKENDS = ("dft_matrix", "fft")
@@ -51,6 +68,10 @@ class TransformConfig:
 
 
 DEFAULT_CONFIG = TransformConfig()
+
+# Byte budget of one chunk of kernel orders: the kernels are rebuilt from
+# the tables on every call and never held beyond one chunk.
+_KERNEL_CHUNK_BYTES = 4 << 20
 
 
 @lru_cache(maxsize=32)
@@ -82,6 +103,11 @@ def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.n
     return np.matmul(np.matmul(Er.conj(), values), Ec.T.conj()) / (rows * cols)
 
 
+def _signs(k) -> np.ndarray:
+    # (-1)^k, elementwise
+    return np.where(np.asarray(k) % 2 == 0, 1.0, -1.0)
+
+
 def _phase_vector(L: int, spin: int) -> np.ndarray:
     # (-1)^s * i^(m+s) for m = -(L-1) .. L-1
     m = np.arange(-(L - 1), L)
@@ -89,8 +115,7 @@ def _phase_vector(L: int, spin: int) -> np.ndarray:
 
 
 def _parity_signs(L: int, spin: int) -> np.ndarray:
-    m = np.arange(-(L - 1), L)
-    return np.where((m + spin) % 2 == 0, 1.0, -1.0)
+    return _signs(np.arange(-(L - 1), L) + spin)
 
 
 def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend: str = "fft") -> np.ndarray:
@@ -127,27 +152,79 @@ def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = 
     return SpinCoefficients(out, signal.spins.copy(), L)
 
 
+def _flat_orders(L: int):
+    # order |m|, degree l and sign half [m < 0] of every flat index l^2 + l + m
+    l = degree_of_index(L)
+    m = np.arange(L * L) - l * l - l
+    return np.abs(m), l, (m < 0).astype(int), m
+
+
+def _kernel(tables, spin, L, mu0, mu1, reduced):
+    """Orders mu0 <= m < mu1 of the kernel, shape (mu1 - mu0, L - l0, rows).
+
+    Entry [m, l, m'] is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'} (rows of the
+    tables, which is K_s up to the order sign (-1)^(m+s)) for degrees
+    l >= l0 = max(mu0, |s|); rows are m' >= 0 on the reduced path and all
+    m' on the full path.
+    """
+    c = L - 1
+    l0 = max(mu0, abs(spin))
+    K = np.zeros((mu1 - mu0, L - l0, L if reduced else 2 * L - 1))
+    for l in range(l0, L):
+        D = tables[l]
+        first = l if reduced else 0
+        top = min(mu1, l + 1) - mu0
+        col = 0 if reduced else c - l
+        K[:top, l - l0, col : col + 2 * l + 1 - first] = (
+            np.sqrt((2 * l + 1) / (4 * np.pi)) * D[mu0 + l : mu0 + top + l, first:] * D[l - spin, first:]
+        )
+    return K
+
+
+def _per_order(x, spin, L, tables, reduced, adjoint):
+    """One matmul per order against the kernel, built in bounded chunks.
+
+    x is real, (L, rows, k) for the forward (out (L, L, k)) and (L, L, k)
+    for the adjoint (out (L, rows, k)); axis 0 is the order |m|.
+    """
+    rows = L if reduced else 2 * L - 1
+    out = np.zeros((L, rows if adjoint else L, x.shape[-1]))
+    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * rows))
+    for mu0 in range(0, L, step):
+        mu1 = min(mu0 + step, L)
+        K = _kernel(tables, spin, L, mu0, mu1, reduced)
+        l0 = L - K.shape[1]
+        if adjoint:
+            out[mu0:mu1] = np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:])
+        else:
+            out[mu0:mu1, l0:] = np.matmul(K, x[mu0:mu1])
+    return out
+
+
 def _forward_block(samples, spin, grid, tables, config):
     L = grid.band_limit
-    I = inner_products(samples, spin, grid, config.fourier_backend)
     c = L - 1
+    I = inner_products(samples, spin, grid, config.fourier_backend)
+    lead = I.shape[:-2]
+    B = int(np.prod(lead))
+    I = I.reshape((B, 2 * L - 1, 2 * L - 1))
     reduced = config.symmetry_path == "reduced"
     if reduced:
-        J = I[..., c:, :].copy()
+        J = I[:, c:, :].copy()
         if L > 1:
-            J[..., 1:, :] += _parity_signs(L, spin) * I[..., c - 1 :: -1, :]
-    out = np.zeros(samples.shape[:-2] + (num_coefficients(L),), dtype=complex)
-    phases = _phase_vector(L, spin)
-    for l in range(abs(spin), L):
-        D = tables[l]
-        col = D[:, l - spin]  # Delta^l_{m', -s}
-        if reduced:
-            block = np.einsum("pm,p,...pm->...m", D[l:, :], col[l:], J[..., : l + 1, c - l : c + l + 1])
-        else:
-            block = np.einsum("pm,p,...pm->...m", D, col, I[..., c - l : c + l + 1, c - l : c + l + 1])
-        alpha = np.sqrt((2 * l + 1) / (4 * np.pi))
-        out[..., degree_slice(l)] = phases[c - l : c + l + 1] * alpha * block
-    return out
+            J[:, 1:, :] += _parity_signs(L, spin) * I[:, c - 1 :: -1, :]
+        I = J
+    rows = I.shape[1]
+    row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
+    # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
+    x = np.empty((L, rows, 2, B), dtype=complex)
+    x[:, :, 0] = I[:, :, c:].transpose(2, 1, 0)
+    x[:, :, 1] = row_signs * I[:, :, c::-1].transpose(2, 1, 0)
+    y = _per_order(x.view(float).reshape(L, rows, 4 * B), spin, L, tables, reduced, adjoint=False)
+    y = y.view(complex).reshape(L, L, 2, B)
+    mu, l, half, m = _flat_orders(L)
+    phases = _phase_vector(L, spin)[m + c] * _signs(m + spin) * np.where(half, _signs(l), 1.0)
+    return (y[mu, l, half] * phases[:, None]).T.reshape(lead + (L * L,))
 
 
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -168,20 +245,23 @@ def g_matrix(coeffs: SpinCoefficients, tables: WignerTables, config: TransformCo
 def _g_block(flat, spin, L, tables, config):
     c = L - 1
     reduced = config.symmetry_path == "reduced"
-    G = np.zeros(flat.shape[:-1] + (2 * L - 1, 2 * L - 1), dtype=complex)
-    phases = _phase_vector(L, spin)
-    for l in range(abs(spin), L):
-        Drev = tables[l][::-1]  # row index maps m' -> -m'
-        col = Drev[:, l - spin]  # Delta^l_{-m', -s}
-        alpha = np.sqrt((2 * l + 1) / (4 * np.pi))
-        cl = (phases[c - l : c + l + 1] * alpha) * flat[..., degree_slice(l)]
-        if reduced:
-            G[..., c : c + l + 1, c - l : c + l + 1] += np.einsum("p,pm,...m->...pm", col[l:], Drev[l:], cl)
-        else:
-            G[..., c - l : c + l + 1, c - l : c + l + 1] += np.einsum("p,pm,...m->...pm", col, Drev, cl)
+    lead = flat.shape[:-1]
+    B = int(np.prod(lead))
+    mu, l, half, m = _flat_orders(L)
+    phases = _phase_vector(L, spin)[m + c] * np.where(half, _signs(l), 1.0)
+    x = np.zeros((L, L, 2, B), dtype=complex)
+    x[mu, l, half] = (flat.reshape(B, L * L) * phases).T
+    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, reduced, adjoint=True)
+    rows = y.shape[1]
+    y = y.view(complex).reshape(L, rows, 2, B)
+    row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
+    G = np.empty((B, 2 * L - 1, 2 * L - 1), dtype=complex)
+    top = slice(c, None) if reduced else slice(None)
+    G[:, top, c:] = y[:, :, 0].transpose(2, 1, 0)
+    G[:, top, :c] = (row_signs * y[:0:-1, :, 1]).transpose(2, 1, 0)
     if reduced and L > 1:
-        G[..., :c, :] = _parity_signs(L, spin) * G[..., 2 * c : c : -1, :]
-    return G
+        G[:, :c, :] = _parity_signs(L, spin) * G[:, 2 * c : c : -1, :]
+    return G.reshape(lead + (2 * L - 1, 2 * L - 1))
 
 
 def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:

@@ -231,11 +231,12 @@ def check_path_and_backend_equivalence(seed=0, inputs_per_band=25):
     rng = np.random.default_rng(seed)
     err_path = 0.0
     err_backend = 0.0
-    for L in (4, 8, 16, 32):
-        spins = np.array([0, 1])
+    # batch-1 inputs up to L=32, plus one batched input at the benchmarked L=64
+    cases = [(L, 1, (0, 1), inputs_per_band) for L in (4, 8, 16, 32)] + [(64, 4, (0, 1, 0, 1), 1)]
+    for L, batch, spins, count in cases:
         tables = compute_delta(L)
-        for _ in range(inputs_per_band):
-            coeffs = random_coefficients(rng, 1, spins, L)
+        for _ in range(count):
+            coeffs = random_coefficients(rng, batch, np.array(spins), L)
             sig = inverse(coeffs, tables, FULL)
             sig_r = inverse(coeffs, tables, REDUCED)
             err_path = max(err_path, _rel(sig_r.samples, sig.samples))
@@ -249,8 +250,8 @@ def check_path_and_backend_equivalence(seed=0, inputs_per_band=25):
             s_dft = inverse(coeffs, tables, DFT)
             err_backend = max(err_backend, _rel(s_fft.samples, s_dft.samples))
     return [
-        _row("swsft.path_equivalence", 32, err_path, 1e-12),
-        _row("swsft.backend_equivalence", 32, err_backend, 1e-12),
+        _row("swsft.path_equivalence", 64, err_path, 1e-12),
+        _row("swsft.backend_equivalence", 64, err_backend, 1e-12),
     ]
 
 

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same bounded set of examples on every run.
+settings.register_profile("swirl", derandomize=True, max_examples=20, deadline=None, database=None)
+settings.load_profile("swirl")
 
 WATER_XYZ = """3
 water molecule

@@ -43,7 +43,8 @@ def test_criterion_02_roundtrip():
 
 
 def test_criterion_03_and_04_path_and_backend_equivalence():
-    # reduced vs full and dft_matrix vs fft agree to 1e-12 on 100 random inputs, L <= 32
+    # reduced vs full and dft_matrix vs fft agree to 1e-12 on 100 random inputs, L <= 32,
+    # plus one batched input at L = 64
     rows = V.check_path_and_backend_equivalence(seed=0, inputs_per_band=25)
     _assert_rows("criteria 3+4 (path/backend equivalence)", rows)
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl import reference
 from swirl.equivariance import random_coefficients
 from swirl.grid import make_grid
-from swirl.signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
+from swirl.signal import SpinCoefficients, SpinSignal, degree_slice, flat_index, num_coefficients
 from swirl.transforms import (
     TransformConfig,
     forward,
     fourier_2d,
     g_matrix,
+    inner_products,
     inverse,
 )
 from swirl.wigner import compute_delta
@@ -185,6 +188,75 @@ def test_empty_batch_passes_through():
     assert sig.samples.shape == (0, 1, 8, 8)
     back = forward(sig, tables)
     assert back.coeffs.shape == (0, 1, 16)
+
+
+def _max_rel(a, b):
+    assert a.shape == b.shape
+    return np.abs(a - b).max() / np.abs(b).max() if b.size else 0.0
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+def test_matches_per_degree_sums(rng, config):
+    # The per-order matmuls reproduce the defining per-degree sums over the
+    # Delta tables, for the forward coefficients and for G.
+    L = 9
+    c = L - 1
+    tables = compute_delta(L)
+    grid = make_grid(2 * L)
+    for spin in (-3, 0, 2):
+        co = random_coefficients(rng, 2, np.array([spin, spin]), L)
+        samples = rng.normal(size=(2, 2, 2 * L, 2 * L)) + 1j * rng.normal(size=(2, 2, 2 * L, 2 * L))
+        I = inner_products(samples, spin, grid, config.fourier_backend)
+        want_co = np.zeros(co.coeffs.shape, dtype=complex)
+        want_G = np.zeros((2, 2, 2 * L - 1, 2 * L - 1), dtype=complex)
+        for l in range(abs(spin), L):
+            D = tables[l]
+            m = np.arange(-l, l + 1)
+            scale = np.sqrt((2 * l + 1) / (4 * np.pi)) * (-1.0) ** spin * np.array([1, 1j, -1, -1j])[(m + spin) % 4]
+            block = I[..., c - l : c + l + 1, c - l : c + l + 1]
+            want_co[..., degree_slice(l)] = scale * np.einsum("pm,p,...pm->...m", D, D[:, l - spin], block)
+            want_G[..., c - l : c + l + 1, c - l : c + l + 1] += np.einsum(
+                "p,pm,...m->...pm", D[::-1, l - spin], D[::-1], scale * co.coeffs[..., degree_slice(l)]
+            )
+        assert _max_rel(forward(_signal(samples, [spin, spin], grid), tables, config).coeffs, want_co) < 1e-12
+        assert _max_rel(g_matrix(co, tables, config), want_G) < 1e-12
+
+
+@st.composite
+def _batched_layouts(draw):
+    L = draw(st.integers(2, 12))
+    batch = draw(st.integers(0, 3))
+    spins = draw(st.lists(st.integers(-(L - 1), L - 1), min_size=1, max_size=3))
+    # interleave the spin groups, and include the largest legal |spin|
+    spins = spins + [draw(st.sampled_from([L - 1, -(L - 1)]))] + spins[:1]
+    return L, batch, np.array(spins), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_batched_layouts())
+def test_batched_layout_matches_one_at_a_time(layout):
+    # Each map of a batched, spin-interleaved call must transform exactly as
+    # it does alone; a mixed-up batch, channel or order axis breaks this
+    # even where every batch-1 test passes.
+    L, batch, spins, seed = layout
+    rng = np.random.default_rng(seed)
+    tables = compute_delta(L)
+    grid = make_grid(2 * L)
+    co = random_coefficients(rng, batch, spins, L)
+    samples = rng.normal(size=(batch, len(spins), 2 * L, 2 * L)) + 1j * rng.normal(size=(batch, len(spins), 2 * L, 2 * L))
+    sig = _signal(samples, spins, grid)
+    for config in ALL_CONFIGS:
+        fwd = forward(sig, tables, config).coeffs
+        inv = inverse(co, tables, config).samples
+        G = g_matrix(co, tables, config)
+        for b in range(batch):
+            for c, spin in enumerate(spins):
+                one_sig = _signal(samples[b : b + 1, c : c + 1], [spin], grid)
+                one_co = SpinCoefficients(co.coeffs[b : b + 1, c : c + 1], np.array([spin]), L)
+                assert _max_rel(fwd[b, c], forward(one_sig, tables, config).coeffs[0, 0]) < 1e-12
+                assert _max_rel(inv[b, c], inverse(one_co, tables, config).samples[0, 0]) < 1e-12
+                assert _max_rel(G[b, c], g_matrix(one_co, tables, config)[0, 0]) < 1e-12
+        back = forward(SpinSignal(inv, spins, grid), tables, config).coeffs
+        assert _max_rel(back, co.coeffs) < 1e-10
 
 
 # --- fourier_2d -------------------------------------------------------------
