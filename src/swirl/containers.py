@@ -9,6 +9,7 @@ with the order ascending from -degree within each degree.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -41,22 +42,36 @@ def write_container(path, header: dict, arrays) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
 
 
+def _block_shape(block) -> tuple:
+    shape = block.get("shape") if isinstance(block, dict) else None
+    if not isinstance(shape, list) or not all(type(d) is int for d in shape):
+        raise ContainerError(f"block shape must be a list of integers, got {shape!r}")
+    if any(d < 0 for d in shape):
+        raise ContainerError(f"block shape {shape} has a negative dimension")
+    if len(shape) > 32:
+        raise ContainerError(f"block shape has {len(shape)} dimensions, at most 32 are supported")
+    return tuple(shape)
+
+
 def read_container(path):
     """Returns (header, list of complex128 arrays)."""
     with open(path, "rb") as fh:
         first = fh.readline()
         try:
             header = json.loads(first.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ContainerError(f"invalid container header: {exc}") from None
-        if header.get("format") != FORMAT_NAME:
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ContainerError(f"not a {FORMAT_NAME} file")
         payload = fh.read()
+    blocks = header.get("blocks", [])
+    if not isinstance(blocks, list):
+        raise ContainerError(f"header 'blocks' must be a list, got {type(blocks).__name__}")
     arrays = []
     offset = 0
-    for block in header.get("blocks", []):
-        shape = tuple(block["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for block in blocks:
+        shape = _block_shape(block)
+        count = math.prod(shape)
         nbytes = count * 16
         if offset + nbytes > len(payload):
             raise ContainerError("payload shorter than the header promises")

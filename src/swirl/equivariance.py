@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SpinCoefficients, SpinSignal, degree_slice, flat_index, num_coefficients
+from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
-from .wigner import Rotation, WignerTables, compute_delta, wigner_D
+from .wigner import Rotation, WignerTables, _rotate_degree, compute_delta
 
 CSV_HEADER_COMMENT = "# swirl-csv v1"
 
@@ -26,22 +26,13 @@ def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerT
         raise ValueError(
             f"tables band limit {tables.band_limit} is smaller than coefficients ({coeffs.band_limit})"
         )
-    out = coeffs.coeffs.copy()
-    for l in range(coeffs.band_limit):
-        D = wigner_D(l, rot)
-        block = out[..., degree_slice(l)]
-        out[..., degree_slice(l)] = np.einsum("mk,bck->bcm", D, block)
-    return SpinCoefficients(out, coeffs.spins.copy(), coeffs.band_limit)
+    blocks = [_rotate_degree(tables[l], rot, coeffs.degree_block(l)) for l in range(coeffs.band_limit)]
+    return SpinCoefficients(np.concatenate(blocks, axis=-1), coeffs.spins.copy(), coeffs.band_limit)
 
 
-def rotate_signal(
-    signal: SpinSignal,
-    rot: Rotation,
-    tables: WignerTables | None = None,
-    config: TransformConfig = DEFAULT_CONFIG,
-) -> SpinSignal:
+def rotate_signal(signal: SpinSignal, rot: Rotation, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:
     """Rotate a band-limited signal exactly via the spectral domain."""
-    tables = tables if tables is not None else compute_delta(signal.grid.band_limit)
+    tables = compute_delta(signal.grid.band_limit)
     return inverse(rotate_coefficients(forward(signal, tables, config), rot, tables), tables, config)
 
 

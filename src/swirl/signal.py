@@ -117,15 +117,3 @@ class SpinCoefficients:
     def grid(self) -> SphericalGrid:
         """The implied sampling grid (n = 2L)."""
         return make_grid(2 * self.band_limit)
-
-
-def zeros_like_signal(batch: int, spins, grid: SphericalGrid) -> SpinSignal:
-    spins = np.asarray(spins, dtype=int)
-    return SpinSignal(np.zeros((batch, len(spins), grid.n, grid.n), dtype=complex), spins, grid)
-
-
-def zeros_like_coefficients(batch: int, spins, band_limit: int) -> SpinCoefficients:
-    spins = np.asarray(spins, dtype=int)
-    return SpinCoefficients(
-        np.zeros((batch, len(spins), num_coefficients(band_limit)), dtype=complex), spins, band_limit
-    )

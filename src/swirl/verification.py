@@ -152,7 +152,7 @@ def check_wigner_d_oracle(seed=0, max_degree=20, beta=0.7):
     return [_row("wigner.d.sum_formula", max_degree, err, 1e-12)]
 
 
-def check_wigner_orthogonality(seed=0, max_degree=64):
+def check_wigner_orthogonality(seed=0, max_degree=127):
     tables = compute_delta(max_degree + 1)
     err_orth = 0.0
     err_sym = 0.0

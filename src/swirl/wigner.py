@@ -8,8 +8,13 @@ Generic-angle d matrices come from the Fourier-series identity
 
     d^l_{a,b}(beta) = i^(a-b) * sum_c Delta^l_{c,a} e^{-i c beta} Delta^l_{c,b}
 
-which is also how the rotation matrices for the equivariance harness are
-evaluated.
+so a rotation matrix factors through the Delta table of its degree:
+
+    D^l(R) = diag(i^a e^{-i a alpha}) Delta^T diag(e^{-i c beta}) Delta diag(i^-b e^{-i b gamma})
+
+Rotations apply this product one factor at a time to the coefficients,
+reading the tables they are given; ``wigner_D`` and ``wigner_d`` are the
+same product applied to the identity.
 """
 
 from __future__ import annotations
@@ -101,17 +106,6 @@ def compute_delta(band_limit: int) -> WignerTables:
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def wigner_d(degree: int, beta: float) -> np.ndarray:
-    """Wigner small-d matrix d^l(beta), shape (2l+1, 2l+1), real orthogonal."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    D = compute_delta(degree + 1)[degree]
-    m = np.arange(-degree, degree + 1)
-    core = (D.T * np.exp(-1j * m * beta)) @ D
-    phase = _I_POW[(m[:, None] - m[None, :]) % 4]
-    return (phase * core).real
-
-
 @dataclass(frozen=True)
 class Rotation:
     """ZYZ Euler angles (alpha, beta, gamma) of an active 3D rotation."""
@@ -181,8 +175,21 @@ def random_rotations(count: int, seed: int) -> list[Rotation]:
     return [Rotation.random(rng) for _ in range(count)]
 
 
+def _rotate_degree(delta: np.ndarray, rot: Rotation, x: np.ndarray) -> np.ndarray:
+    """Apply D^l(rot) along the last axis of x, given the degree-l Delta table."""
+    m = np.arange(delta.shape[0]) - delta.shape[0] // 2
+    x = x * (_I_POW[-m % 4] * np.exp(-1j * m * rot.gamma))
+    x = (x @ delta.T) * np.exp(-1j * m * rot.beta)
+    return (x @ delta) * (_I_POW[m % 4] * np.exp(-1j * m * rot.alpha))
+
+
 def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
     """Wigner D matrix D^l_{m,m'} = e^{-i m alpha} d^l_{m,m'}(beta) e^{-i m' gamma}."""
-    d = wigner_d(degree, rot.beta)
-    m = np.arange(-degree, degree + 1)
-    return np.exp(-1j * m * rot.alpha)[:, None] * d * np.exp(-1j * m * rot.gamma)[None, :]
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    return _rotate_degree(compute_delta(degree + 1)[degree], rot, np.eye(2 * degree + 1)).T
+
+
+def wigner_d(degree: int, beta: float) -> np.ndarray:
+    """Wigner small-d matrix d^l(beta), shape (2l+1, 2l+1), real orthogonal."""
+    return wigner_D(degree, Rotation(0.0, beta, 0.0)).real

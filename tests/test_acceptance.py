@@ -55,7 +55,7 @@ def test_criterion_05_g_symmetry():
 
 
 def test_criterion_06_wigner_correctness():
-    # sum-formula oracle l <= 20 at 1e-12; orthogonality l <= 64 at 1e-12
+    # sum-formula oracle l <= 20 at 1e-12; orthogonality l <= 127 (the benchmarked L=128) at 1e-12
     rows = (
         V.check_wigner_delta_oracle(seed=0)
         + V.check_wigner_d_oracle(seed=0)

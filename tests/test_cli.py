@@ -205,11 +205,16 @@ def test_verify_deterministic_output(tmp_path):
 
 
 def test_module_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    from pathlib import Path
 
+    import swirl
+
+    # the child imports the same swirl as this test, installed or not
+    path = os.pathsep.join(filter(None, [str(Path(swirl.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "swirl", "verify", "--filter", "grid.integral"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
@@ -244,3 +249,19 @@ def test_transform_header_missing_fields(tmp_path):
     bad = tmp_path / "bad.swirl"
     bad.write_bytes(b'{"format": "swirl-container", "version": 1, "blocks": []}\n')
     assert main(["transform", str(bad), "forward", "--output", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"[1, 2]",
+        b'{"format": "swirl-container", "blocks": 3}',
+        b'{"format": "swirl-container", "blocks": ["x"]}',
+        b'{"format": "swirl-container", "blocks": [{"shape": [-1]}]}',
+    ],
+)
+def test_transform_malformed_header(tmp_path, capsys, header):
+    bad = tmp_path / "bad.swirl"
+    bad.write_bytes(header + b"\n" + bytes(64))
+    assert main(["transform", str(bad), "forward", "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl.containers import (
+    FORMAT_NAME,
     ContainerError,
     pack_coefficients,
     pack_signal,
@@ -85,6 +90,9 @@ def test_not_a_container(tmp_path):
     path.write_text('{"format": "something-else", "blocks": []}\n')
     with pytest.raises(ContainerError, match="not a"):
         read_container(path)
+    path.write_text("[" * 100_000 + "\n")
+    with pytest.raises(ContainerError, match="invalid container header"):
+        read_container(path)
 
 
 def test_truncated_payload(tmp_path, rng):
@@ -158,3 +166,53 @@ def test_phase_collapse_params_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(params2.w2, params.w2)
     np.testing.assert_array_equal(params2.bias, params.bias)
     assert not np.iscomplexobj(params2.w2)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_SHAPES = st.lists(st.integers(-3, 2**40), max_size=4) | _JSON
+_BLOCKS = st.lists(st.dictionaries(st.just("shape"), _SHAPES) | _JSON, max_size=3) | _JSON
+
+
+def _write_raw(path, header, payload=b""):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+@given(
+    st.one_of(st.builds(lambda blocks: {"format": FORMAT_NAME, "blocks": blocks}, _BLOCKS), _JSON),
+    st.sampled_from([0, 16, 64]),
+)
+def test_read_container_fuzzed_header(tmp_path_factory, header, payload_bytes):
+    # Any header either reads or fails with ContainerError, and what reads
+    # accounts for exactly the payload.
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.swirl"
+    _write_raw(path, header, bytes(payload_bytes))
+    try:
+        _, arrays = read_container(path)
+    except ContainerError:
+        return
+    assert sum(a.size for a in arrays) * 16 == payload_bytes
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        ([1, 2], "not a"),
+        ({"format": FORMAT_NAME, "blocks": 3}, "must be a list"),
+        ({"format": FORMAT_NAME, "blocks": [7]}, "list of integers"),
+        ({"format": FORMAT_NAME, "blocks": [{"shape": "4"}]}, "list of integers"),
+        ({"format": FORMAT_NAME, "blocks": [{"shape": [2.0]}]}, "list of integers"),
+        ({"format": FORMAT_NAME, "blocks": [{"shape": [True]}]}, "list of integers"),
+        ({"format": FORMAT_NAME, "blocks": [{}]}, "list of integers"),
+        ({"format": FORMAT_NAME, "blocks": [{"shape": [-1]}]}, "negative"),
+        ({"format": FORMAT_NAME, "blocks": [{"shape": [2**40, 2**40]}]}, "shorter"),
+    ],
+)
+def test_malformed_header_rejected(tmp_path, header, match):
+    path = tmp_path / "bad.swirl"
+    _write_raw(path, header, bytes(64))
+    with pytest.raises(ContainerError, match=match):
+        read_container(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl import reference
 from swirl.equivariance import (
@@ -11,7 +13,7 @@ from swirl.equivariance import (
     write_reports_csv,
 )
 from swirl.layers import FilterBank, PhaseCollapseParams, apply_phase_collapse, spectral_conv
-from swirl.signal import SpinCoefficients
+from swirl.signal import SpinCoefficients, degree_slice
 from swirl.transforms import inverse
 from swirl.wigner import Rotation, compute_delta, random_rotations
 
@@ -183,3 +185,41 @@ def test_conv_equivariance_at_L32(rng):
         lambda c: spectral_conv(c, bank), co, random_rotations(5, 11), "conv32"
     )
     assert report.max_rel_err <= 1e-10
+
+
+@st.composite
+def _rotation_cases(draw):
+    L = draw(st.integers(1, 12))
+    batch = draw(st.integers(0, 3))
+    spins = draw(st.lists(st.integers(-(L - 1), L - 1), min_size=0, max_size=2))
+    spins = spins + [draw(st.sampled_from([L - 1, -(L - 1)]))]
+    angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    rot = Rotation(draw(angle), draw(st.floats(0.0, np.pi)), draw(angle))
+    return L, batch, np.array(spins), rot, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_rotation_cases())
+def test_rotation_matches_explicit_wigner_sum(case):
+    # D^l_{m,m'} = e^{-i m alpha} d^l_{m,m'}(beta) e^{-i m' gamma} with d from
+    # the explicit factorial sum, which shares no code with the Delta tables.
+    L, batch, spins, rot, seed = case
+    co = random_coefficients(np.random.default_rng(seed), batch, spins, L)
+    out = rotate_coefficients(co, rot, compute_delta(L)).coeffs
+    expected = np.empty_like(co.coeffs)
+    for l in range(L):
+        m = np.arange(-l, l + 1)
+        d = np.array([[reference.wigner_d_explicit(l, a, b, rot.beta) for b in m] for a in m])
+        D = np.exp(-1j * m * rot.alpha)[:, None] * d * np.exp(-1j * m * rot.gamma)[None, :]
+        expected[..., degree_slice(l)] = co.coeffs[..., degree_slice(l)] @ D.T
+    err = np.abs(out - expected).max(initial=0.0)
+    assert err <= 1e-12 * np.abs(expected).max(initial=0.0)
+
+
+def test_rotation_reads_the_given_tables(rng):
+    # With warm tables a rotation builds no Delta tables of its own.
+    L = 32
+    tables = compute_delta(L)
+    co = random_coefficients(rng, 1, np.array([0, 1]), L)
+    misses = compute_delta.cache_info().misses
+    rotate_coefficients(co, Rotation.random(rng), tables)
+    assert compute_delta.cache_info().misses == misses
