@@ -167,6 +167,7 @@ def cmd_transform(args) -> int:
         args, {"backend": ("backend", str), "path": ("path", str), "output": ("output", str)}
     )
     from .containers import (
+        header_positive_int,
         pack_coefficients,
         pack_signal,
         read_container,
@@ -182,8 +183,7 @@ def cmd_transform(args) -> int:
         symmetry_path=args.path if args.path else "full",
     )
     header, arrays = read_container(args.input)
-    band_limit = int(header["band_limit"])
-    tables = compute_delta(band_limit)
+    tables = compute_delta(header_positive_int(header, "band_limit"))
     if args.direction == "forward":
         signals = unpack_signal(header, arrays)
         packed = [pack_coefficients(forward(s, tables, config)) for s in signals]

@@ -8,6 +8,7 @@ with the order ascending from -degree within each degree.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -116,6 +117,14 @@ def pack_coefficients(coeffs: SpinCoefficients) -> tuple[dict, list]:
     return header, [coeffs.coeffs]
 
 
+def header_positive_int(header: dict, field: str) -> int:
+    """The header field as a positive int; anything else (bool, list, ...) is a ContainerError."""
+    value = header.get(field)
+    if type(value) is not int or value < 1:
+        raise ContainerError(f"header field {field!r} must be a positive integer, got {value!r}")
+    return value
+
+
 def _check_convention(header):
     if header.get("convention") != CONVENTION:
         raise ContainerError(
@@ -127,7 +136,7 @@ def unpack_signal(header: dict, arrays) -> list[SpinSignal]:
     _check_convention(header)
     if header.get("domain") != "spatial":
         raise ContainerError(f"expected a spatial container, got domain {header.get('domain')!r}")
-    grid = make_grid(int(header["grid_n"]))
+    grid = make_grid(header_positive_int(header, "grid_n"))
     out = []
     for block, arr in zip(header["blocks"], arrays):
         out.append(SpinSignal(arr, np.asarray(block["spins"], dtype=int), grid))
@@ -138,7 +147,7 @@ def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
     _check_convention(header)
     if header.get("domain") != "spectral":
         raise ContainerError(f"expected a spectral container, got domain {header.get('domain')!r}")
-    L = int(header["band_limit"])
+    L = header_positive_int(header, "band_limit")
     out = []
     for block, arr in zip(header["blocks"], arrays):
         if arr.shape[-1] != num_coefficients(L):
@@ -154,7 +163,13 @@ def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
 
 
 def pack_filter_bank(bank) -> tuple[dict, list]:
-    pairs = sorted(bank.weights)
+    """One (C_in, C_out, L) block per (spin_in, spin_out) pair, in ascending pair order."""
+    blocks = {
+        (si, so): block
+        for si, row in zip(bank.spins_in, np.split(bank.weights, len(bank.spins_in)))
+        for so, block in zip(bank.spins_out, np.split(row, len(bank.spins_out), axis=1))
+    }
+    pairs = sorted(blocks)
     header = {
         "domain": "parameters",
         "kind": "filter-bank",
@@ -163,24 +178,35 @@ def pack_filter_bank(bank) -> tuple[dict, list]:
         "spins_in": list(bank.spins_in),
         "spins_out": list(bank.spins_out),
         "blocks": [
-            {"shape": list(bank.weights[pair].shape), "spin_in": pair[0], "spin_out": pair[1]}
+            {"shape": list(blocks[pair].shape), "spin_in": pair[0], "spin_out": pair[1]}
             for pair in pairs
         ],
     }
-    return header, [bank.weights[pair] for pair in pairs]
+    return header, [blocks[pair] for pair in pairs]
 
 
 def unpack_filter_bank(header: dict, arrays):
+    """Assemble the dense taps from exactly one block per pair of spins_in x spins_out."""
     from .layers import FilterBank
 
     _check_convention(header)
     if header.get("kind") != "filter-bank":
         raise ContainerError(f"expected a filter-bank container, got {header.get('kind')!r}")
-    weights = {
-        (int(block["spin_in"]), int(block["spin_out"])): arr
-        for block, arr in zip(header["blocks"], arrays)
-    }
-    return FilterBank(weights, tuple(header["spins_in"]), tuple(header["spins_out"]))
+    L = header_positive_int(header, "band_limit")
+    spins_in, spins_out = header.get("spins_in"), header.get("spins_out")
+    for spins in (spins_in, spins_out):
+        ints = isinstance(spins, list) and all(type(s) is int for s in spins)
+        if not ints or not spins or len(set(spins)) < len(spins):
+            raise ContainerError(f"filter-bank spins must be a non-empty list of distinct integers, got {spins!r}")
+    pairs = [(block.get("spin_in"), block.get("spin_out")) for block in header.get("blocks", [])]
+    expected = sorted(itertools.product(spins_in, spins_out))
+    if any(type(s) is not int for pair in pairs for s in pair) or sorted(pairs) != expected:
+        raise ContainerError(f"filter-bank blocks {pairs} are not one per pair of {spins_in} x {spins_out}")
+    if any(arr.ndim != 3 or arr.shape != arrays[0].shape or arr.shape[-1] != L for arr in arrays):
+        raise ContainerError(f"filter-bank blocks must share one (C_in, C_out, {L}) shape")
+    blocks = dict(zip(pairs, arrays))
+    weights = np.concatenate([np.concatenate([blocks[si, so] for so in spins_out], axis=1) for si in spins_in])
+    return FilterBank(weights, spins_in, spins_out)
 
 
 def pack_batch_norm(state) -> tuple[dict, list]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import _grouped_spins
 from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, compute_delta
@@ -164,7 +165,7 @@ def smooth_harness_signal(
     if max_degree is None:
         max_degree = max((L - 1) // 2, 1)
     tables = compute_delta(L)
-    spins = _grouped(spin_set, channels_per_spin)
+    spins = _grouped_spins(spin_set, channels_per_spin)
     shared_degree = {}
     for s in set(int(v) for v in spins):
         if s != 0:
@@ -194,7 +195,3 @@ def smooth_harness_signal(
             lift = -floor * 1.5 + 0.2 * max(1.0, abs(floor))
             co[b, c, 0] += lift * np.sqrt(4 * np.pi)
     return inverse(SpinCoefficients(co, spins, L), tables, config)
-
-
-def _grouped(spin_set, channels):
-    return np.repeat(np.asarray(spin_set, dtype=int), channels)

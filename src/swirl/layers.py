@@ -12,12 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import (
-    SpinCoefficients,
-    SpinSignal,
-    degree_of_index,
-    num_coefficients,
-)
+from .signal import SpinCoefficients, SpinSignal, degree_slice, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
 from .wigner import compute_delta
 
@@ -28,13 +23,16 @@ def _grouped_spins(spin_set, channels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Per-degree spectral filter taps indexed by (spin_in, spin_out, c_in, c_out, l).
+    """Per-degree spectral filter taps, one complex (S_in*C_in, S_out*C_out, L) tensor.
 
-    Taps multiply coefficients degree-wise; there is no mixing across
-    (l, m), which is what makes the convolution exactly equivariant.
+    Rows and columns are spin-major like the channels they act on (row
+    i*C_in + a is channel a of spins_in[i]; columns likewise), and the last
+    axis is the degree l.  Taps multiply coefficients degree-wise with no
+    mixing across (l, m), which makes the convolution exactly equivariant.
+    Taps below degree max(|s_in|, |s_out|) are zero.
     """
 
-    weights: dict
+    weights: np.ndarray
     spins_in: tuple
     spins_out: tuple
 
@@ -43,45 +41,32 @@ class FilterBank:
         spins_out = tuple(int(s) for s in self.spins_out)
         object.__setattr__(self, "spins_in", spins_in)
         object.__setattr__(self, "spins_out", spins_out)
-        weights = {}
-        shape = None
-        for si in spins_in:
-            for so in spins_out:
-                key = (si, so)
-                if key not in self.weights:
-                    raise ValueError(f"missing taps for spin pair {key}")
-                w = np.array(self.weights[key], dtype=complex)
-                if shape is None:
-                    shape = w.shape
-                if w.ndim != 3 or w.shape != shape:
-                    raise ValueError(f"taps for {key} have shape {w.shape}, expected {shape}")
-                w[..., : max(abs(si), abs(so))] = 0.0
-                w.flags.writeable = False
-                weights[key] = w
-        object.__setattr__(self, "weights", weights)
+        w = np.array(self.weights, dtype=complex)
+        distinct = len(set(spins_in)) == len(spins_in) > 0 and len(set(spins_out)) == len(spins_out) > 0
+        if not distinct or w.ndim != 3 or w.shape[0] % len(spins_in) or w.shape[1] % len(spins_out):
+            raise ValueError(f"taps of shape {w.shape} do not split into distinct spins {spins_in} x {spins_out}")
+        rows = np.abs(_grouped_spins(spins_in, w.shape[0] // len(spins_in)))
+        cols = np.abs(_grouped_spins(spins_out, w.shape[1] // len(spins_out)))
+        w[np.arange(w.shape[2]) < np.maximum.outer(rows, cols)[..., None]] = 0.0
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @property
     def channels_in(self) -> int:
-        return next(iter(self.weights.values())).shape[0]
+        return self.weights.shape[0] // len(self.spins_in)
 
     @property
     def channels_out(self) -> int:
-        return next(iter(self.weights.values())).shape[1]
+        return self.weights.shape[1] // len(self.spins_out)
 
     @property
     def band_limit(self) -> int:
-        return next(iter(self.weights.values())).shape[2]
+        return self.weights.shape[2]
 
     @classmethod
     def identity(cls, spins, channels: int, band_limit: int) -> "FilterBank":
         """Spin- and channel-diagonal bank with unit taps (a no-op)."""
-        spins = tuple(int(s) for s in spins)
-        eye = np.eye(channels, dtype=complex)[:, :, None] * np.ones(band_limit)
-        weights = {}
-        for si in spins:
-            for so in spins:
-                weights[(si, so)] = eye if si == so else np.zeros_like(eye)
-        return cls(weights, spins, spins)
+        return cls(np.eye(len(spins) * channels, dtype=complex)[:, :, None] * np.ones(band_limit), spins, spins)
 
     @classmethod
     def random(
@@ -92,59 +77,45 @@ class FilterBank:
         channels_in: int,
         channels_out: int,
         band_limit: int,
-        real: bool = False,
         spin_diagonal: bool = False,
         per_degree: bool = True,
     ) -> "FilterBank":
-        """Unit-variance complex Gaussian taps scaled by 1/sqrt(fan_in * L).
+        """Unit-variance complex Gaussian taps scaled by 1/sqrt(fan_in * L), drawn one spin pair at a time.
 
         With per_degree=False the taps are constant across degree (the
         spectral analogue of a 1x1 convolution, used for skip projections).
         """
-        spins_in = tuple(int(s) for s in spins_in)
-        spins_out = tuple(int(s) for s in spins_out)
-        fan_in = len(spins_in) * channels_in
-        scale = 1.0 / np.sqrt(fan_in * band_limit)
-        weights = {}
-        for si in spins_in:
-            for so in spins_out:
-                deg = band_limit if per_degree else 1
-                w = rng.normal(size=(channels_in, channels_out, deg)) * scale
-                if not real:
-                    w = w + 1j * rng.normal(size=w.shape) * scale
-                if not per_degree:
-                    w = np.broadcast_to(w, (channels_in, channels_out, band_limit)).copy()
-                if spin_diagonal and si != so:
-                    w = np.zeros((channels_in, channels_out, band_limit), dtype=complex)
-                weights[(si, so)] = w
-        return cls(weights, spins_in, spins_out)
+        cin, cout = channels_in, channels_out
+        scale = 1.0 / np.sqrt(len(spins_in) * cin * band_limit)
+        w = np.zeros((len(spins_in) * cin, len(spins_out) * cout, band_limit), dtype=complex)
+        for i, si in enumerate(spins_in):
+            for o, so in enumerate(spins_out):
+                taps = rng.normal(size=(cin, cout, band_limit if per_degree else 1)) * scale
+                taps = taps + 1j * rng.normal(size=taps.shape) * scale
+                if not spin_diagonal or si == so:
+                    w[i * cin : (i + 1) * cin, o * cout : (o + 1) * cout] = taps
+        return cls(w, spins_in, spins_out)
 
     @classmethod
-    def projection(cls, rng, spins, channels_in, channels_out, band_limit, real=False) -> "FilterBank":
+    def projection(cls, rng, spins, channels_in, channels_out, band_limit) -> "FilterBank":
         """1-tap (degree-constant) spin-diagonal bank for skip-path channel projection."""
         return cls.random(
-            rng, spins, spins, channels_in, channels_out, band_limit,
-            real=real, spin_diagonal=True, per_degree=False,
+            rng, spins, spins, channels_in, channels_out, band_limit, spin_diagonal=True, per_degree=False
         )
 
 
 def spectral_conv(coeffs: SpinCoefficients, bank: FilterBank) -> SpinCoefficients:
-    """Spherical convolution as per-degree products of coefficients and taps."""
+    """Spherical convolution: one (S_out*C_out, S_in*C_in) matmul per degree."""
     L = coeffs.band_limit
     if bank.band_limit != L:
         raise ValueError(f"bank band limit {bank.band_limit} does not match coefficients ({L})")
     expected = _grouped_spins(bank.spins_in, bank.channels_in)
     if not np.array_equal(coeffs.spins, expected):
         raise ValueError(f"coefficient spins {coeffs.spins} do not match bank input signature {expected}")
-    deg = degree_of_index(L)
-    cin, cout = bank.channels_in, bank.channels_out
-    out = np.zeros((coeffs.batch, len(bank.spins_out) * cout, num_coefficients(L)), dtype=complex)
-    for gi, si in enumerate(bank.spins_in):
-        block = coeffs.coeffs[:, gi * cin : (gi + 1) * cin]
-        for go, so in enumerate(bank.spins_out):
-            taps = bank.weights[(si, so)][..., deg]
-            out[:, go * cout : (go + 1) * cout] += np.einsum("bix,iox->box", block, taps)
-    return SpinCoefficients(out, _grouped_spins(bank.spins_out, cout), L)
+    out = np.empty((coeffs.batch, bank.weights.shape[1], num_coefficients(L)), dtype=complex)
+    for l in range(L):
+        out[..., degree_slice(l)] = bank.weights[:, :, l].T @ coeffs.degree_block(l)
+    return SpinCoefficients(out, _grouped_spins(bank.spins_out, bank.channels_out), L)
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,12 @@ def check_layer_equivariance(seed=0, band_limit=16):
     bank = FilterBank.random(rng, SPIN_SET, SPIN_SET, CHANNELS, CHANNELS, band_limit)
     coeffs = random_coefficients(rng, 1, spins, band_limit)
     rep = equivariance_error(lambda c: spectral_conv(c, bank), coeffs, rotations, "spectral_conv", seed)
-    rows.append(_row("layers.equivariance.spectral_conv", band_limit, rep.max_rel_err, 1e-10))
+    # A spin-expanding bank gates the off-diagonal spin blocks; its own generator keeps the other rows' inputs.
+    expand_rng = np.random.default_rng(seed + 2)
+    expand = FilterBank.random(expand_rng, (0,), SPIN_SET, 3, CHANNELS, band_limit)
+    expand_in = random_coefficients(expand_rng, 1, np.zeros(3, dtype=int), band_limit)
+    rep2 = equivariance_error(lambda c: spectral_conv(c, expand), expand_in, rotations, "spectral_conv", seed)
+    rows.append(_row("layers.equivariance.spectral_conv", band_limit, max(rep.max_rel_err, rep2.max_rel_err), 1e-10))
 
     sig = smooth_harness_signal(rng, band_limit, SPIN_SET, CHANNELS)
     pc = PhaseCollapseParams.random(rng, CHANNELS, len(spins))

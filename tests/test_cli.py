@@ -3,7 +3,14 @@ import pytest
 
 from swirl import grid as grid_mod
 from swirl.cli import main
-from swirl.containers import pack_signal, read_container, unpack_coefficients, unpack_signal, write_container
+from swirl.containers import (
+    pack_coefficients,
+    pack_signal,
+    read_container,
+    unpack_coefficients,
+    unpack_signal,
+    write_container,
+)
 from swirl.equivariance import random_coefficients
 from swirl.signal import SpinSignal
 from swirl.transforms import inverse
@@ -265,3 +272,21 @@ def test_transform_malformed_header(tmp_path, capsys, header):
     bad.write_bytes(header + b"\n" + bytes(64))
     assert main(["transform", str(bad), "forward", "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [[8], True, -8])
+@pytest.mark.parametrize(
+    "direction, field",
+    [("forward", "grid_n"), ("forward", "band_limit"), ("inverse", "band_limit")],
+)
+def test_transform_rejects_non_integer_geometry(tmp_path, capsys, rng, direction, field, value):
+    # grid_n and band_limit must be positive ints; a list, a bool or a
+    # negative number is a clean error naming the field, not a traceback.
+    co = random_coefficients(rng, 1, np.array([0]), 4)
+    header, arrays = pack_coefficients(co) if direction == "inverse" else pack_signal(inverse(co, compute_delta(4)))
+    header[field] = value
+    src = tmp_path / "bad.swirl"
+    write_container(src, header, arrays)
+    assert main(["transform", str(src), direction, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swirl.containers import (
+    CONVENTION,
     FORMAT_NAME,
     ContainerError,
     pack_coefficients,
@@ -130,10 +131,95 @@ def test_filter_bank_roundtrip(tmp_path, rng):
     header, arrays = read_container(path)
     bank2 = unpack_filter_bank(header, arrays)
     assert bank2.spins_in == (0, 1) and bank2.channels_out == 3
-    for key in bank.weights:
-        np.testing.assert_array_equal(bank2.weights[key], bank.weights[key])
+    np.testing.assert_array_equal(bank2.weights, bank.weights)
     co = random_coefficients(rng, 1, np.array([0, 0, 1, 1]), 8)
     np.testing.assert_array_equal(spectral_conv(co, bank2).coeffs, spectral_conv(co, bank).coeffs)
+
+
+def test_filter_bank_reads_per_pair_blocks(tmp_path, rng):
+    # A container written block by block, one (C_in, C_out, L) block per
+    # spin pair in ascending pair order, reads into the dense taps (rows and
+    # columns in the order of spins_in and spins_out) and re-packs to the
+    # same bytes.
+    from swirl.containers import pack_filter_bank, unpack_filter_bank
+
+    spins_in, spins_out, cin, cout, L = (1, 0), (0, -2, 1), 2, 3, 5
+    pairs = sorted((si, so) for si in spins_in for so in spins_out)
+    blocks = {}
+    for si, so in pairs:
+        w = rng.normal(size=(cin, cout, L)) + 1j * rng.normal(size=(cin, cout, L))
+        w[..., : max(abs(si), abs(so))] = 0.0
+        blocks[(si, so)] = w
+    header = {
+        "domain": "parameters",
+        "kind": "filter-bank",
+        "convention": CONVENTION,
+        "band_limit": L,
+        "spins_in": list(spins_in),
+        "spins_out": list(spins_out),
+        "blocks": [{"shape": [cin, cout, L], "spin_in": si, "spin_out": so} for si, so in pairs],
+    }
+    p1, p2 = tmp_path / "a.swirl", tmp_path / "b.swirl"
+    write_container(p1, header, [blocks[pair] for pair in pairs])
+    bank = unpack_filter_bank(*read_container(p1))
+    assert bank.weights.shape == (len(spins_in) * cin, len(spins_out) * cout, L)
+    for i, si in enumerate(spins_in):
+        for o, so in enumerate(spins_out):
+            block = bank.weights[i * cin : (i + 1) * cin, o * cout : (o + 1) * cout]
+            np.testing.assert_array_equal(block, blocks[(si, so)])
+    write_container(p2, *pack_filter_bank(bank))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def _set_block(i, **fields):
+    def edit(header, arrays):
+        header["blocks"][i].update(fields)
+    return edit
+
+
+def _append_copy_of_first(header, arrays):
+    header["blocks"].append(dict(header["blocks"][0]))
+    arrays.append(arrays[0])
+
+
+def _drop_last(header, arrays):
+    header["blocks"].pop()
+    arrays.pop()
+
+
+def _shrink_second(header, arrays):
+    arrays[1] = arrays[1][:1]
+    header["blocks"][1]["shape"] = list(arrays[1].shape)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set_block(1, spin_in=0, spin_out=0), id="duplicated-pair"),
+        pytest.param(_append_copy_of_first, id="extra-duplicate-block"),
+        pytest.param(_drop_last, id="missing-pair"),
+        pytest.param(_set_block(3, spin_in=5), id="spin-not-in-spins_in"),
+        pytest.param(_set_block(0, spin_in=[0]), id="list-spin_in"),
+        pytest.param(_set_block(0, spin_out=False), id="bool-spin_out"),
+        pytest.param(lambda h, a: h.update(band_limit=h["band_limit"] + 1), id="band_limit-disagrees"),
+        pytest.param(lambda h, a: h.update(band_limit=[4]), id="list-band_limit"),
+        pytest.param(lambda h, a: h.pop("spins_out"), id="missing-spins_out"),
+        pytest.param(lambda h, a: h.update(spins_in=[0, 0]), id="repeated-spins_in"),
+        pytest.param(lambda h, a: h.update(spins_in=[0, True]), id="bool-spins_in"),
+        pytest.param(_shrink_second, id="block-shapes-differ"),
+    ],
+)
+def test_malformed_filter_bank_rejected(tmp_path, rng, edit):
+    from swirl.containers import pack_filter_bank, unpack_filter_bank
+    from swirl.layers import FilterBank
+
+    header, arrays = pack_filter_bank(FilterBank.random(rng, (0, 1), (0, 1), 2, 3, 4))
+    arrays = list(arrays)
+    edit(header, arrays)
+    path = tmp_path / "bank.swirl"
+    write_container(path, header, arrays)
+    with pytest.raises(ContainerError):
+        unpack_filter_bank(*read_container(path))
 
 
 def test_batch_norm_state_roundtrip(tmp_path, rng):

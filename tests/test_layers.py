@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl import reference
 from swirl.equivariance import random_coefficients, smooth_harness_signal
@@ -18,7 +20,7 @@ from swirl.layers import (
     spectral_unpool,
     spectral_variance,
 )
-from swirl.signal import SpinCoefficients, num_coefficients
+from swirl.signal import SpinCoefficients, degree_of_index, num_coefficients
 from swirl.transforms import forward, inverse
 from swirl.wigner import compute_delta
 
@@ -41,7 +43,7 @@ def test_conv_low_pass_projection(rng):
     co = random_coefficients(rng, 1, np.array([0]), L)
     taps = np.zeros((1, 1, L), dtype=complex)
     taps[..., 0] = 1.0
-    bank = FilterBank({(0, 0): taps}, (0,), (0,))
+    bank = FilterBank(taps, (0,), (0,))
     out = spectral_conv(co, bank)
     np.testing.assert_array_equal(out.coeffs[..., 0], co.coeffs[..., 0])
     assert np.abs(out.coeffs[..., 1:]).max() == 0.0
@@ -58,9 +60,7 @@ def test_conv_linear_in_coefficients_and_taps(rng):
     lhs = spectral_conv(summed, bank1).coeffs
     rhs = 2.0 * spectral_conv(a, bank1).coeffs + 3.0 * spectral_conv(b, bank1).coeffs
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
-    both = FilterBank(
-        {k: bank1.weights[k] + bank2.weights[k] for k in bank1.weights}, (0, 1), (0, 1)
-    )
+    both = FilterBank(bank1.weights + bank2.weights, (0, 1), (0, 1))
     lhs = spectral_conv(a, both).coeffs
     rhs = spectral_conv(a, bank1).coeffs + spectral_conv(a, bank2).coeffs
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
@@ -87,11 +87,113 @@ def test_conv_signature_mismatch(rng):
 
 def test_filter_bank_zeroes_taps_below_spin():
     L = 4
-    taps = np.ones((1, 1, L), dtype=complex)
-    bank = FilterBank({(0, 1): taps.copy(), (0, 0): taps.copy(), (1, 0): taps.copy(), (1, 1): taps.copy()}, (0, 1), (0, 1))
-    assert bank.weights[(0, 1)][0, 0, 0] == 0.0
-    assert bank.weights[(1, 1)][0, 0, 0] == 0.0
-    assert bank.weights[(0, 0)][0, 0, 0] == 1.0
+    # rows are (spin_in 0, spin_in 1), columns (spin_out 0, spin_out 1)
+    taps = np.ones((2, 2, L), dtype=complex)
+    bank = FilterBank(taps, (0, 1), (0, 1))
+    assert bank.weights[0, 1, 0] == 0.0
+    assert bank.weights[1, 0, 0] == 0.0
+    assert bank.weights[1, 1, 0] == 0.0
+    assert bank.weights[0, 0, 0] == 1.0
+    np.testing.assert_array_equal(bank.weights[..., 1:], 1.0)
+    assert taps[1, 1, 0] == 1.0  # the caller's array is copied, not masked in place
+    assert not bank.weights.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "shape, spins_in, spins_out",
+    [
+        ((3, 2, 4), (0, 1), (0, 1)),  # 3 rows do not split into 2 input spins
+        ((2, 3, 4), (0, 1), (0, 1)),
+        ((2, 2), (0, 1), (0, 1)),
+        ((2, 2, 4), (0, 0), (0, 1)),  # repeated spin
+        ((2, 2, 4), (), (0, 1)),
+    ],
+)
+def test_filter_bank_rejects_bad_layouts(shape, spins_in, spins_out):
+    with pytest.raises(ValueError):
+        FilterBank(np.ones(shape, dtype=complex), spins_in, spins_out)
+
+
+def _per_pair_bank(rng, spins_in, spins_out, cin, cout, L, spin_diagonal, per_degree):
+    # The per-spin-pair construction, drawing each (spin_in, spin_out)
+    # block in turn; seeded banks must keep exactly these taps.
+    scale = 1.0 / np.sqrt(len(spins_in) * cin * L)
+    blocks = {}
+    for si in spins_in:
+        for so in spins_out:
+            w = rng.normal(size=(cin, cout, L if per_degree else 1)) * scale
+            w = w + 1j * rng.normal(size=w.shape) * scale
+            w = np.broadcast_to(w, (cin, cout, L)).copy()
+            if spin_diagonal and si != so:
+                w[:] = 0.0
+            w[..., : max(abs(si), abs(so))] = 0.0
+            blocks[(si, so)] = w
+    return blocks
+
+
+def _block(bank, i, o):
+    cin, cout = bank.channels_in, bank.channels_out
+    return bank.weights[i * cin : (i + 1) * cin, o * cout : (o + 1) * cout]
+
+
+@pytest.mark.parametrize("spin_diagonal, per_degree", [(False, True), (True, True), (True, False), (False, False)])
+def test_random_draws_one_block_per_spin_pair(spin_diagonal, per_degree):
+    spins_in, spins_out, L = (1, 0, -2), (0, 2), 5
+    bank = FilterBank.random(np.random.default_rng(5), spins_in, spins_out, 2, 3, L,
+                             spin_diagonal=spin_diagonal, per_degree=per_degree)
+    want = _per_pair_bank(np.random.default_rng(5), spins_in, spins_out, 2, 3, L, spin_diagonal, per_degree)
+    for i, si in enumerate(spins_in):
+        for o, so in enumerate(spins_out):
+            np.testing.assert_array_equal(_block(bank, i, o), want[(si, so)])
+
+
+def _per_pair_conv(coeffs, bank):
+    # Reference: the per-spin-pair sum, gathering each pair's taps onto the
+    # flat (l, m) axis.
+    deg = degree_of_index(coeffs.band_limit)
+    cin, cout = bank.channels_in, bank.channels_out
+    out = np.zeros((coeffs.batch, len(bank.spins_out) * cout, coeffs.coeffs.shape[-1]), dtype=complex)
+    for i, si in enumerate(bank.spins_in):
+        x = coeffs.coeffs[:, i * cin : (i + 1) * cin]
+        for o, so in enumerate(bank.spins_out):
+            taps = _block(bank, i, o)
+            assert not taps[..., : max(abs(si), abs(so))].any()
+            out[:, o * cout : (o + 1) * cout] += np.einsum("bix,iox->box", x, taps[..., deg])
+    return out
+
+
+@st.composite
+def _conv_layouts(draw):
+    L = draw(st.integers(2, 12))
+    spin = st.integers(-(L - 1), L - 1)
+    spins_in = draw(st.lists(spin, min_size=1, max_size=3, unique=True))
+    spins_out = draw(st.lists(spin, min_size=1, max_size=3, unique=True))
+    top = draw(st.sampled_from([L - 1, -(L - 1)]))
+    if top not in spins_in and -top not in spins_in:
+        spins_in[draw(st.integers(0, len(spins_in) - 1))] = top
+    return (
+        L, draw(st.integers(0, 3)), tuple(spins_in), tuple(spins_out),
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+        draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(_conv_layouts())
+def test_dense_conv_matches_per_pair_sums(layout):
+    # One matmul per degree over the spin-major channel stack equals the sum
+    # over spin pairs; a mixed-up row/column order or a missing low-degree
+    # mask breaks it.
+    L, batch, spins_in, spins_out, cin, cout, spin_diagonal, per_degree, seed = layout
+    rng = np.random.default_rng(seed)
+    bank = FilterBank.random(rng, spins_in, spins_out, cin, cout, L,
+                             spin_diagonal=spin_diagonal, per_degree=per_degree)
+    co = random_coefficients(rng, batch, np.repeat(spins_in, cin), L)
+    out = spectral_conv(co, bank)
+    want = _per_pair_conv(co, bank)
+    np.testing.assert_array_equal(out.spins, np.repeat(spins_out, cout))
+    assert out.coeffs.shape == want.shape
+    if want.size:
+        assert np.abs(out.coeffs - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- phase collapse ---------------------------------------------------------
@@ -303,7 +405,7 @@ def _block_params(rng, L, pool_to=None, zero_banks=False):
     c0, ct = 2, 4
     fb = FilterBank.random(rng, (0, 1), (0, 1), 2, 2, pool_to or L, spin_diagonal=True)
     if zero_banks:
-        fb = FilterBank({k: np.zeros_like(v) for k, v in fb.weights.items()}, (0, 1), (0, 1))
+        fb = FilterBank(np.zeros_like(fb.weights), (0, 1), (0, 1))
     collapse = PhaseCollapseParams.random(rng, c0, ct)
     return ResidualBlockParams(
         bank1=fb,
