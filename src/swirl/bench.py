@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivariance import CSV_HEADER_COMMENT, random_coefficients
+from .equivariance import CSV_HEADER_COMMENT, max_rel_error, random_coefficients
+from .grid import make_grid
 from .transforms import FOURIER_BACKENDS, SYMMETRY_PATHS, TransformConfig, forward, inverse
 from .wigner import compute_delta
 
@@ -24,15 +25,15 @@ CROSS_CHECK_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class BenchSpec:
-    resolutions: tuple = (64, 128, 256)
+    resolutions: tuple
+    repetitions: int
+    warmup: int
+    seed: int
     backends: tuple = FOURIER_BACKENDS
     paths: tuple = SYMMETRY_PATHS
-    repetitions: int = 5
-    warmup: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "resolutions", tuple(int(n) for n in self.resolutions))
+        object.__setattr__(self, "resolutions", tuple(self.resolutions))
         object.__setattr__(self, "backends", tuple(self.backends))
         object.__setattr__(self, "paths", tuple(self.paths))
         if self.repetitions < 3:
@@ -40,14 +41,10 @@ class BenchSpec:
         if self.warmup < 0:
             raise ValueError(f"warmup must be nonnegative, got {self.warmup}")
         for n in self.resolutions:
-            if n < 2 or n % 2:
-                raise ValueError(f"resolutions must be even integers >= 2, got {n}")
-        for b in self.backends:
-            if b not in FOURIER_BACKENDS:
-                raise ValueError(f"unknown backend {b!r}")
-        for p in self.paths:
-            if p not in SYMMETRY_PATHS:
-                raise ValueError(f"unknown path {p!r}")
+            make_grid(n)
+        for backend in self.backends:
+            for path in self.paths:
+                TransformConfig(fourier_backend=backend, symmetry_path=path)
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ def _bench_resolution(n: int, spec: BenchSpec) -> list[BenchRow]:
             if reference_samples is None:
                 reference_samples, reference_coeffs = signal.samples, back.coeffs
             cross = max(
-                _rel(signal.samples, reference_samples),
-                _rel(back.coeffs, reference_coeffs),
+                max_rel_error(signal.samples, reference_samples),
+                max_rel_error(back.coeffs, reference_coeffs),
             )
             q1, med, q3 = np.percentile(times, [25, 50, 75])
             rows.append(BenchRow(n, backend, path, spec.repetitions, float(med), float(q3 - q1), float(cross)))
@@ -116,11 +113,6 @@ def _time_cell(coeffs, tables, config, spec):
         if it >= spec.warmup:
             times.append(elapsed)
     return signal, back, np.asarray(times)
-
-
-def _rel(a, b):
-    scale = np.abs(b).max()
-    return float(np.abs(a - b).max() / scale) if scale > 0 else float(np.abs(a - b).max())
 
 
 def write_bench_csv(rows, path) -> None:

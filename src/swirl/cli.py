@@ -1,15 +1,17 @@
 """Command-line interface: verify, bench, transform, featurize.
 
-Configuration comes from an optional flat key=value file plus flags;
-flags win.  The SWIRL_THREADS environment variable caps the BLAS/OpenMP
-thread pools (it must take effect before numpy loads, which is why the
-heavy imports below happen lazily inside the command handlers).
+Configuration comes from an optional flat key=value file whose keys are
+the command's long flags, plus the flags themselves; explicit flags win.
+The SWIRL_THREADS environment variable caps the BLAS/OpenMP thread pools
+(it must take effect before numpy loads, which is why the heavy imports
+below happen lazily inside the functions).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 
@@ -25,93 +27,100 @@ _configure_threads()
 _BACKEND_ALIASES = {"dft": "dft_matrix", "dft_matrix": "dft_matrix", "fft": "fft"}
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
+class _Parser(argparse.ArgumentParser):
+    """Matches long flags exactly, shows defaults in --help, and raises ValueError instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _config_flags(path: str) -> list:
+    """The key=value lines of a config file as --key=value flags."""
+    flags = []
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not re.fullmatch(r"\w[\w-]*", key):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            flags.append(f"--{key}={value}")
+    return flags
+
+
+def _int_list(text: str) -> tuple:
+    values = tuple(int(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
-def _merge_config(args: argparse.Namespace, keys: dict) -> argparse.Namespace:
-    """Fill flag values that were not given explicitly from the config file.
-
-    keys maps a configuration key to (namespace destination, converter);
-    explicit flags win over file values.
-    """
-    if not getattr(args, "config", None):
-        return args
-    file_values = _parse_config_file(args.config)
-    for key, value in file_values.items():
-        if key not in keys:
-            raise ValueError(f"unknown configuration key {key!r}")
-        dest, convert = keys[key]
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, convert(value))
-    return args
-
-
-def _int_list(text: str):
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="swirl", description=__doc__.splitlines()[0])
+    from .molecules import DEFAULT_POWERS
+    from .transforms import DEFAULT_CONFIG, SYMMETRY_PATHS
+
+    backends = tuple(_BACKEND_ALIASES)
+    parser = _Parser(prog="swirl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the invariant suite and write a CSV report")
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--filter", dest="name_filter", default=None, help="only run checks whose name matches")
-    p.add_argument("--output", default=None, help="CSV report path")
-    p.add_argument("--inject-fault", choices=["parity"], default=None, help=argparse.SUPPRESS)
+    p.add_argument("--config", help="flat key=value file of long-flag values")
+    p.add_argument("--seed", type=int, default=0, help="seed of the check inputs")
+    p.add_argument("--filter", dest="name_filter", help="only run checks whose name matches")
+    p.add_argument("--output", help="CSV report path")
 
     p = sub.add_parser("bench", help="time forward+inverse across backends and symmetry paths")
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--resolution", type=_int_list, default=None, help="comma-separated list, e.g. 64,128,256")
-    p.add_argument("--backend", choices=["dft", "fft", "both"], default=None)
-    p.add_argument("--path", choices=["reduced", "full", "both"], default=None)
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--output", default=None, help="CSV output path")
+    p.add_argument("--config", help="flat key=value file of long-flag values")
+    p.add_argument("--seed", type=int, default=0, help="seed of the transform inputs")
+    p.add_argument("--resolution", type=_int_list, default=(64, 128, 256), help="comma-separated grid sizes n")
+    p.add_argument("--backend", choices=backends + ("both",), default="both", help="Fourier backend")
+    p.add_argument("--path", choices=SYMMETRY_PATHS + ("both",), default="both", help="symmetry path")
+    p.add_argument("--repetitions", type=int, default=5, help="timed pairs per cell")
+    p.add_argument("--warmup", type=int, default=1, help="untimed pairs per cell")
+    p.add_argument("--output", help="CSV output path")
 
     p = sub.add_parser("transform", help="apply the forward or inverse transform to a container file")
     p.add_argument("input", help="container file")
     p.add_argument("direction", choices=["forward", "inverse"])
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--backend", choices=["dft", "fft"], default=None)
-    p.add_argument("--path", choices=["reduced", "full"], default=None)
-    p.add_argument("--output", required=True)
+    p.add_argument("--config", help="flat key=value file of long-flag values")
+    p.add_argument("--backend", choices=backends, default=DEFAULT_CONFIG.fourier_backend, help="Fourier backend")
+    p.add_argument("--path", choices=SYMMETRY_PATHS, default=DEFAULT_CONFIG.symmetry_path, help="symmetry path")
+    p.add_argument("--output", required=True, help="output container path")
 
     p = sub.add_parser("featurize", help="map molecules in an XYZ file to spherical feature containers")
     p.add_argument("xyz", help="XYZ file (single or concatenated multi-molecule)")
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--powers", type=_int_list, default=None, help="comma-separated, default 2,6")
-    p.add_argument("--vocabulary", default=None, help="comma-separated element symbols; default: types present")
-    p.add_argument("--output", required=True)
+    p.add_argument("--config", help="flat key=value file of long-flag values")
+    p.add_argument("--resolution", type=int, default=32, help="grid size n")
+    p.add_argument("--powers", type=_int_list, default=DEFAULT_POWERS, help="comma-separated radial powers")
+    p.add_argument("--vocabulary", help="comma-separated element symbols; unset: the types present")
+    p.add_argument("--output", required=True, help="output container path")
     return parser
 
 
-def cmd_verify(args) -> int:
-    args = _merge_config(
-        args, {"seed": ("seed", int), "filter": ("name_filter", str), "output": ("output", str)}
-    )
-    seed = args.seed if args.seed is not None else 0
-    if args.inject_fault == "parity":
-        from . import grid
+def parse(argv=None) -> argparse.Namespace:
+    """Parse a command line; the lines of its --config file go in as flags ahead of the explicit ones.
 
-        grid._PARITY_OVERRIDE = -1.0
+    An unknown key, a bad value or a bad flag raises ValueError naming the
+    flag; an unreadable config file raises OSError.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        # right after the command name, so any explicit flag comes later and wins
+        argv[1:1] = _config_flags(config)
+    return build_parser().parse_args(argv)
+
+
+def cmd_verify(args) -> int:
     from .verification import run_verification, write_rows_csv
 
-    rows = run_verification(args.name_filter, seed=seed)
+    rows = run_verification(args.name_filter, seed=args.seed)
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
         print(f"{status}  {row.name}  L={row.band_limit}  metric={row.metric:.3e}  threshold={row.threshold:.3e}")
@@ -126,30 +135,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    args = _merge_config(
-        args,
-        {
-            "seed": ("seed", int),
-            "resolution": ("resolution", _int_list),
-            "backend": ("backend", str),
-            "path": ("path", str),
-            "repetitions": ("repetitions", int),
-            "warmup": ("warmup", int),
-            "output": ("output", str),
-        },
-    )
     from .bench import BenchSpec, run_bench, write_bench_csv
     from .transforms import FOURIER_BACKENDS, SYMMETRY_PATHS
 
-    backends = FOURIER_BACKENDS if args.backend in (None, "both") else (_BACKEND_ALIASES[args.backend],)
-    paths = SYMMETRY_PATHS if args.path in (None, "both") else (args.path,)
     spec = BenchSpec(
-        resolutions=args.resolution if args.resolution else (64, 128, 256),
-        backends=backends,
-        paths=paths,
-        repetitions=args.repetitions if args.repetitions is not None else 5,
-        warmup=args.warmup if args.warmup is not None else 1,
-        seed=args.seed if args.seed is not None else 0,
+        resolutions=args.resolution,
+        backends=FOURIER_BACKENDS if args.backend == "both" else (_BACKEND_ALIASES[args.backend],),
+        paths=SYMMETRY_PATHS if args.path == "both" else (args.path,),
+        repetitions=args.repetitions,
+        warmup=args.warmup,
+        seed=args.seed,
     )
     rows = run_bench(spec)
     for r in rows:
@@ -163,9 +158,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    args = _merge_config(
-        args, {"backend": ("backend", str), "path": ("path", str), "output": ("output", str)}
-    )
     from .containers import (
         header_positive_int,
         pack_coefficients,
@@ -178,10 +170,7 @@ def cmd_transform(args) -> int:
     from .transforms import TransformConfig, forward, inverse
     from .wigner import compute_delta
 
-    config = TransformConfig(
-        fourier_backend=_BACKEND_ALIASES[args.backend] if args.backend else "dft_matrix",
-        symmetry_path=args.path if args.path else "full",
-    )
+    config = TransformConfig(fourier_backend=_BACKEND_ALIASES[args.backend], symmetry_path=args.path)
     header, arrays = read_container(args.input)
     tables = compute_delta(header_positive_int(header, "band_limit"))
     if args.direction == "forward":
@@ -203,23 +192,13 @@ def cmd_transform(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    args = _merge_config(
-        args,
-        {
-            "resolution": ("resolution", int),
-            "powers": ("powers", _int_list),
-            "vocabulary": ("vocabulary", str),
-            "output": ("output", str),
-        },
-    )
     from .containers import CONVENTION, write_container
     from .grid import make_grid
-    from .molecules import DEFAULT_POWERS, DEFAULT_SPREAD, SYMBOL_TO_NUMBER, featurize, parse_xyz_many
+    from .molecules import DEFAULT_SPREAD, SYMBOL_TO_NUMBER, featurize, parse_xyz_many
 
     with open(args.xyz) as fh:
         molecules = parse_xyz_many(fh.read())
-    n = args.resolution if args.resolution is not None else 32
-    powers = args.powers if args.powers else DEFAULT_POWERS
+    n = args.resolution
     if args.vocabulary:
         try:
             vocabulary = tuple(SYMBOL_TO_NUMBER[s.strip()] for s in args.vocabulary.split(","))
@@ -231,7 +210,7 @@ def cmd_featurize(args) -> int:
     blocks = []
     arrays = []
     for mol in molecules:
-        feats = featurize(mol, vocabulary, grid, powers)
+        feats = featurize(mol, vocabulary, grid, args.powers)
         arrays.append(feats.values.astype(complex))
         blocks.append(
             {
@@ -248,7 +227,7 @@ def cmd_featurize(args) -> int:
         "grid_n": n,
         "band_limit": n // 2,
         "vocabulary": list(vocabulary),
-        "powers": list(powers),
+        "powers": list(args.powers),
         "sigma": DEFAULT_SPREAD,
         "channel_order": "power-major: channel = p_index * len(vocabulary) + z_index",
         "blocks": blocks,
@@ -259,8 +238,6 @@ def cmd_featurize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "bench": cmd_bench,
@@ -268,6 +245,7 @@ def main(argv=None) -> int:
         "featurize": cmd_featurize,
     }
     try:
+        args = parse(argv)
         return handlers[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .layers import _grouped_spins
 from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
-from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
+from .transforms import forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, compute_delta
 
 CSV_HEADER_COMMENT = "# swirl-csv v1"
@@ -31,10 +31,10 @@ def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerT
     return SpinCoefficients(np.concatenate(blocks, axis=-1), coeffs.spins.copy(), coeffs.band_limit)
 
 
-def rotate_signal(signal: SpinSignal, rot: Rotation, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:
-    """Rotate a band-limited signal exactly via the spectral domain."""
+def rotate_signal(signal: SpinSignal, rot: Rotation) -> SpinSignal:
+    """Rotate a band-limited signal exactly via the spectral domain (default transform config)."""
     tables = compute_delta(signal.grid.band_limit)
-    return inverse(rotate_coefficients(forward(signal, tables, config), rot, tables), tables, config)
+    return inverse(rotate_coefficients(forward(signal, tables), rot, tables), tables)
 
 
 @dataclass(frozen=True)
@@ -51,32 +51,32 @@ def _flat(x) -> np.ndarray:
     return (x.samples if isinstance(x, SpinSignal) else x.coeffs).ravel()
 
 
-def _rotate(x, rot, config):
+def _rotate(x, rot):
     if isinstance(x, SpinSignal):
-        return rotate_signal(x, rot, config=config)
+        return rotate_signal(x, rot)
     return rotate_coefficients(x, rot, compute_delta(x.band_limit))
 
 
-def equivariance_error(
-    layer,
-    x,
-    rotations,
-    layer_name: str = "layer",
-    seed: int = 0,
-    config: TransformConfig = DEFAULT_CONFIG,
-) -> EquivarianceReport:
+def max_rel_error(a, b) -> float:
+    """Largest |a - b| over the largest |b|; the absolute error when b is zero."""
+    scale = np.abs(b).max()
+    return float(np.abs(a - b).max() / scale) if scale > 0 else float(np.abs(a - b).max())
+
+
+def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int = 0) -> EquivarianceReport:
     """Measure ||layer(rotate(x)) - rotate(layer(x))||_2 / ||layer(x)||_2 over rotations.
 
-    A degenerate layer output (zero norm) makes the metric undefined and
-    is reported as NaN rather than zero.
+    Signals are rotated through the default transform config.  A
+    degenerate layer output (zero norm) makes the metric undefined and is
+    reported as NaN rather than zero.
     """
     band_limit = x.grid.band_limit if isinstance(x, SpinSignal) else x.band_limit
     base = layer(x)
     denom = np.linalg.norm(_flat(base))
     errors = []
     for rot in rotations:
-        lhs = layer(_rotate(x, rot, config))
-        rhs = _rotate(base, rot, config)
+        lhs = layer(_rotate(x, rot))
+        rhs = _rotate(base, rot)
         num = np.linalg.norm(_flat(lhs) - _flat(rhs))
         errors.append(num / denom if denom > 0 else np.nan)
     errors = np.asarray(errors)
@@ -147,19 +147,18 @@ def smooth_harness_signal(
     band_limit: int,
     spin_set=(0, 1),
     channels_per_spin: int = 2,
-    batch: int = 1,
     max_degree: int | None = None,
     shared_orders: bool = False,
-    config: TransformConfig = DEFAULT_CONFIG,
 ) -> SpinSignal:
-    """Band-limited signal whose channel moduli are themselves band-limited.
+    """Batch-1 band-limited signal whose channel moduli are themselves band-limited.
 
     Spin-0 channels are real positive fields (modulus equals the field);
     spin-s channels are single harmonics of order m = +l with l = |s| mod 2,
     whose modulus is an exactly band-limited degree-l function.  With
     shared_orders every channel of one spin uses the same degree, so
     channel mixing by a spin-diagonal filter bank preserves the
-    single-harmonic structure.
+    single-harmonic structure.  Synthesis uses the default transform
+    config.
     """
     L = band_limit
     if max_degree is None:
@@ -171,27 +170,22 @@ def smooth_harness_signal(
         if s != 0:
             choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
             shared_degree[s] = int(rng.choice(choices)) if choices else abs(s)
-    co = np.zeros((batch, len(spins), num_coefficients(L)), dtype=complex)
+    co = np.zeros((1, len(spins), num_coefficients(L)), dtype=complex)
     for c, s in enumerate(spins):
-        for b in range(batch):
-            if s == 0:
-                co[b, c] = _real_positive_coefficients(rng, L, max_degree)
+        if s == 0:
+            co[0, c] = _real_positive_coefficients(rng, L, max_degree)
+        else:
+            if shared_orders:
+                l = shared_degree[int(s)]
             else:
-                if shared_orders:
-                    l = shared_degree[int(s)]
-                else:
-                    choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
-                    l = int(rng.choice(choices)) if choices else abs(s)
-                amp = rng.normal() + 1j * rng.normal()
-                co[b, c, flat_index(l, l)] = amp
-    sig = inverse(SpinCoefficients(co, spins, L), tables, config)
+                choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
+                l = int(rng.choice(choices)) if choices else abs(s)
+            amp = rng.normal() + 1j * rng.normal()
+            co[0, c, flat_index(l, l)] = amp
+    samples = inverse(SpinCoefficients(co, spins, L), tables).samples
     # Lift spin-0 channels above zero so modulus == field holds everywhere.
-    samples = sig.samples.copy()
-    for c, s in enumerate(spins):
-        if s != 0:
-            continue
-        for b in range(batch):
-            floor = samples[b, c].real.min()
-            lift = -floor * 1.5 + 0.2 * max(1.0, abs(floor))
-            co[b, c, 0] += lift * np.sqrt(4 * np.pi)
-    return inverse(SpinCoefficients(co, spins, L), tables, config)
+    for c in np.flatnonzero(spins == 0):
+        floor = samples[0, c].real.min()
+        lift = -floor * 1.5 + 0.2 * max(1.0, abs(floor))
+        co[0, c, 0] += lift * np.sqrt(4 * np.pi)
+    return inverse(SpinCoefficients(co, spins, L), tables)

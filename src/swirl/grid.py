@@ -19,11 +19,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .signal import SpinSignal
 
-# Test-only fault-injection hook: when not None, multiplies the
-# (-1)**spin parity used by the torus extension (set to -1.0 to flip it).
-_PARITY_OVERRIDE: float | None = None
-
-
 @dataclass(frozen=True)
 class SphericalGrid:
     """Equiangular n x n sampling of the sphere with band limit L = n/2."""
@@ -59,10 +54,7 @@ def make_grid(n: int) -> SphericalGrid:
 
 
 def parity_sign(spin: int) -> float:
-    sign = -1.0 if spin % 2 else 1.0
-    if _PARITY_OVERRIDE is not None:
-        sign *= _PARITY_OVERRIDE
-    return sign
+    return -1.0 if spin % 2 else 1.0
 
 
 @dataclass(frozen=True)

@@ -313,21 +313,16 @@ def _needs_projection(params: ResidualBlockParams) -> bool:
     )
 
 
-def residual_block(
-    x,
-    params: ResidualBlockParams,
-    config: TransformConfig = DEFAULT_CONFIG,
-    mode: str = "eval",
-):
-    """The spectral residual block; input and output are the same kind.
+def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEFAULT_CONFIG):
+    """The eval-mode spectral residual block; input and output are the same kind.
 
     Signal path: FT -> (pool) -> *K -> BN -> IFT -> sigma -> FT -> *K ->
     BN -> add skip (in Fourier space) -> IFT -> sigma.  Coefficient input
     is treated as the first FT's output, and the result is transformed
-    back to coefficients after the final activation.
+    back to coefficients after the final activation.  Batch norm uses the
+    running statistics; residual_block_train is the train-mode entry point.
     """
-    out, _ = _residual_impl(x, params, config, mode)
-    return out
+    return _residual_impl(x, params, config, "eval")[0]
 
 
 def residual_block_train(x, params: ResidualBlockParams, config: TransformConfig = DEFAULT_CONFIG):
@@ -341,11 +336,11 @@ def _residual_impl(x, params, config, mode):
     if _needs_projection(params) and params.projection is None:
         raise ValueError("input and output signatures differ: a skip projection bank is required")
 
-    h = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
-    L = h.band_limit
+    pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
+    L = pooled.band_limit
     tables = compute_delta(L)
 
-    h = spectral_conv(h, params.bank1)
+    h = spectral_conv(pooled, params.bank1)
     h, bn1 = spectral_batch_norm(h, params.bn1, mode)
     mid = apply_phase_collapse(inverse(h, tables, config), params.collapse1)
 
@@ -353,9 +348,7 @@ def _residual_impl(x, params, config, mode):
     h = spectral_conv(h, params.bank2)
     h, bn2 = spectral_batch_norm(h, params.bn2, mode)
 
-    skip = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
-    if params.projection is not None:
-        skip = spectral_conv(skip, params.projection)
+    skip = pooled if params.projection is None else spectral_conv(pooled, params.projection)
     if not np.array_equal(skip.spins, h.spins):
         raise ValueError("skip path signature does not match main path output")
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)

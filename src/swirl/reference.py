@@ -183,6 +183,27 @@ def forward_quadrature(flat_coeffs: np.ndarray, spin: int, band_limit: int) -> n
     return out
 
 
+def spectral_conv_per_pair(coeffs: np.ndarray, weights: np.ndarray, spins_in, spins_out) -> np.ndarray:
+    """Spherical convolution summed one (spin_in, spin_out) block and one degree at a time.
+
+    coeffs is (batch, S_in*C_in, L**2) and weights (S_in*C_in, S_out*C_out, L),
+    both spin-major: row i*C_in + a is channel a of spins_in[i], and column
+    o*C_out + b is channel b of spins_out[o].  Output channel (o, b) at
+    degree l is sum_i sum_a weights[(i, a), (o, b), l] * coeffs[(i, a), l].
+    """
+    cin = weights.shape[0] // len(spins_in)
+    cout = weights.shape[1] // len(spins_out)
+    out = np.zeros((coeffs.shape[0], weights.shape[1], coeffs.shape[2]), dtype=complex)
+    for i in range(len(spins_in)):
+        rows = slice(i * cin, (i + 1) * cin)
+        for o in range(len(spins_out)):
+            cols = slice(o * cout, (o + 1) * cout)
+            for l in range(weights.shape[2]):
+                taps = weights[rows, cols, l]
+                out[:, cols, degree_slice(l)] += np.einsum("ab,zam->zbm", taps, coeffs[:, rows, degree_slice(l)])
+    return out
+
+
 def spherical_integral_quadrature(values_fn, band_limit: int) -> complex:
     """Integral over the sphere of values_fn(theta, phi) on the reference nodes."""
     theta, tw, phi, pw = gauss_legendre_nodes(band_limit)

@@ -17,6 +17,7 @@ from . import reference
 from .equivariance import (
     CSV_HEADER_COMMENT,
     equivariance_error,
+    max_rel_error,
     random_coefficients,
     rotate_coefficients,
     smooth_harness_signal,
@@ -68,11 +69,6 @@ def _row(name, band_limit, metric, threshold):
     return CheckRow(name, band_limit, metric, float(threshold), bool(metric <= threshold))
 
 
-def _rel(a, b):
-    scale = np.abs(b).max()
-    return np.abs(a - b).max() / scale if scale > 0 else np.abs(a - b).max()
-
-
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def check_grid_inner_products(seed=0):
         phase_t = np.exp(-1j * np.outer(m, theta)) * (np.sin(theta) * tw)
         phase_p = np.exp(-1j * np.outer(m, phi))
         oracle = np.einsum("pj,jk,mk->pm", phase_t, vals * pw, phase_p)
-        rows.append(_row(f"grid.inner_products.oracle.L{L}", L, _rel(I, oracle), 1e-8))
+        rows.append(_row(f"grid.inner_products.oracle.L{L}", L, max_rel_error(I, oracle), 1e-8))
     return rows
 
 
@@ -206,7 +202,7 @@ def check_forward_oracle(seed=0):
             signal = SpinSignal(samples[None, None], np.array([spin]), grid)
             ours = forward(signal, compute_delta(L)).coeffs[0, 0]
             oracle = reference.forward_quadrature(flat, spin, L)
-            rows.append(_row(f"swsft.forward.oracle.s{spin}.L{L}", L, _rel(ours, oracle), 1e-8))
+            rows.append(_row(f"swsft.forward.oracle.s{spin}.L{L}", L, max_rel_error(ours, oracle), 1e-8))
     return rows
 
 
@@ -219,9 +215,9 @@ def check_roundtrips(seed=0, band_limits=(4, 8, 16, 32, 64)):
         coeffs = random_coefficients(rng, 2, spins, L)
         sig = inverse(coeffs, tables)
         back = forward(sig, tables)
-        err = _rel(back.coeffs, coeffs.coeffs)
+        err = max_rel_error(back.coeffs, coeffs.coeffs)
         sig2 = inverse(back, tables)
-        err2 = _rel(sig2.samples, sig.samples)
+        err2 = max_rel_error(sig2.samples, sig.samples)
         rows.append(_row(f"swsft.roundtrip.coeffs.L{L}", L, err, 1e-10))
         rows.append(_row(f"swsft.roundtrip.samples.L{L}", L, err2, 1e-10))
     return rows
@@ -239,16 +235,16 @@ def check_path_and_backend_equivalence(seed=0, inputs_per_band=25):
             coeffs = random_coefficients(rng, batch, np.array(spins), L)
             sig = inverse(coeffs, tables, FULL)
             sig_r = inverse(coeffs, tables, REDUCED)
-            err_path = max(err_path, _rel(sig_r.samples, sig.samples))
+            err_path = max(err_path, max_rel_error(sig_r.samples, sig.samples))
             f_full = forward(sig, tables, FULL)
             f_red = forward(sig, tables, REDUCED)
-            err_path = max(err_path, _rel(f_red.coeffs, f_full.coeffs))
+            err_path = max(err_path, max_rel_error(f_red.coeffs, f_full.coeffs))
             f_fft = forward(sig, tables, FFT)
             f_dft = forward(sig, tables, DFT)
-            err_backend = max(err_backend, _rel(f_fft.coeffs, f_dft.coeffs))
+            err_backend = max(err_backend, max_rel_error(f_fft.coeffs, f_dft.coeffs))
             s_fft = inverse(coeffs, tables, FFT)
             s_dft = inverse(coeffs, tables, DFT)
-            err_backend = max(err_backend, _rel(s_fft.samples, s_dft.samples))
+            err_backend = max(err_backend, max_rel_error(s_fft.samples, s_dft.samples))
     return [
         _row("swsft.path_equivalence", 64, err_path, 1e-12),
         _row("swsft.backend_equivalence", 64, err_backend, 1e-12),
@@ -264,7 +260,7 @@ def check_g_symmetry(seed=0):
         G = g_matrix(coeffs, compute_delta(L), FULL)[0, 0]
         m = np.arange(-(L - 1), L)
         signs = np.where((m + spin) % 2 == 0, 1.0, -1.0)
-        err = max(err, _rel(G, signs * G[::-1, :]))
+        err = max(err, max_rel_error(G, signs * G[::-1, :]))
     return [_row("swsft.g_symmetry", 12, err, 1e-12)]
 
 
@@ -340,6 +336,13 @@ def check_layer_equivariance(seed=0, band_limit=16):
     expand_in = random_coefficients(expand_rng, 1, np.zeros(3, dtype=int), band_limit)
     rep2 = equivariance_error(lambda c: spectral_conv(c, expand), expand_in, rotations, "spectral_conv", seed)
     rows.append(_row("layers.equivariance.spectral_conv", band_limit, max(rep.max_rel_err, rep2.max_rel_err), 1e-10))
+    # Equivariance cannot see a wrong tap layout (any per-degree channel mix
+    # commutes with rotations); the independent per-spin-pair sum can.
+    err = 0.0
+    for bk, co in ((bank, coeffs), (expand, expand_in)):
+        want = reference.spectral_conv_per_pair(co.coeffs, bk.weights, bk.spins_in, bk.spins_out)
+        err = max(err, max_rel_error(spectral_conv(co, bk).coeffs, want))
+    rows.append(_row("layers.spectral_conv.per_pair_reference", band_limit, err, 1e-12))
 
     sig = smooth_harness_signal(rng, band_limit, SPIN_SET, CHANNELS)
     pc = PhaseCollapseParams.random(rng, CHANNELS, len(spins))

@@ -1,8 +1,12 @@
+import argparse
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl import grid as grid_mod
-from swirl.cli import main
+from swirl.cli import main, parse
 from swirl.containers import (
     pack_coefficients,
     pack_signal,
@@ -17,12 +21,6 @@ from swirl.transforms import inverse
 from swirl.wigner import compute_delta
 
 
-@pytest.fixture(autouse=True)
-def reset_fault_injection():
-    yield
-    grid_mod._PARITY_OVERRIDE = None
-
-
 def test_verify_filtered_passes(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(["verify", "--filter", "wigner", "--output", str(out)])
@@ -34,9 +32,11 @@ def test_verify_filtered_passes(tmp_path, capsys):
     assert all(row.rsplit(",", 1)[1] == "True" for row in lines[2:])
 
 
-def test_verify_fault_injection_fails(tmp_path):
+def test_verify_fault_injection_fails(tmp_path, monkeypatch):
+    # flip the torus-extension parity: the grid rows must catch it
+    monkeypatch.setattr(grid_mod, "parity_sign", lambda spin: 1.0 if spin % 2 else -1.0)
     out = tmp_path / "report.csv"
-    code = main(["verify", "--filter", "grid", "--inject-fault", "parity", "--output", str(out)])
+    code = main(["verify", "--filter", "grid", "--output", str(out)])
     assert code != 0
     assert any(row.rsplit(",", 1)[1] == "False" for row in out.read_text().splitlines()[2:])
 
@@ -290,3 +290,137 @@ def test_transform_rejects_non_integer_geometry(tmp_path, capsys, rng, direction
     assert main(["transform", str(src), direction, "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# --- config files: each key is its command's long flag ---------------------
+
+_POSITIONALS = {"verify": [], "bench": [], "transform": ["in.swirl", "forward"], "featurize": ["mol.xyz"]}
+_FLAGS = {
+    "verify": ["config", "seed", "filter", "output"],
+    "bench": ["config", "seed", "resolution", "backend", "path", "repetitions", "warmup", "output"],
+    "transform": ["config", "backend", "path", "output"],
+    "featurize": ["config", "resolution", "powers", "vocabulary", "output"],
+}
+_JUNK_KEYS = ["", " ", "nonsense", "out", "help", "h", "a b", "-seed", "--seed", "seed=1", "#x"]
+
+
+@given(
+    command=st.sampled_from(sorted(_FLAGS)),
+    lines=st.lists(
+        st.tuples(
+            st.sampled_from(sorted({k for keys in _FLAGS.values() for k in keys}) + _JUNK_KEYS) | st.text(max_size=6),
+            st.sampled_from(["", "=", "a=b", ",", "8,16", "-3", "fft", "both"]) | st.text(max_size=12),
+        ),
+        max_size=4,
+    ),
+    explicit_output=st.booleans(),
+)
+def test_parse_fuzzed_config(tmp_path_factory, command, lines, explicit_output):
+    # a config file of any text either parses or raises ValueError/OSError;
+    # argparse never gets to exit the process
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in lines), encoding="utf-8")
+    argv = [command, *_POSITIONALS[command], "--config", str(cfg)] + (["--output", "o"] if explicit_output else [])
+    try:
+        args = parse(argv)
+    except (ValueError, OSError):
+        return
+    assert isinstance(args, argparse.Namespace) and args.command == command
+
+
+@pytest.mark.parametrize(
+    "command, key, value, explicit",
+    [
+        ("verify", "seed", "3", "4"),
+        ("verify", "filter", "grid", "wigner"),
+        ("verify", "output", "a.csv", "b.csv"),
+        ("bench", "seed", "3", "4"),
+        ("bench", "resolution", "8,16", "32"),
+        ("bench", "backend", "dft_matrix", "fft"),
+        ("bench", "path", "reduced", "full"),
+        ("bench", "repetitions", "7", "3"),
+        ("bench", "warmup", "0", "2"),
+        ("bench", "output", "a.csv", "b.csv"),
+        ("transform", "backend", "fft", "dft"),
+        ("transform", "path", "reduced", "full"),
+        ("transform", "output", "a.swirl", "b.swirl"),
+        ("featurize", "resolution", "16", "64"),
+        ("featurize", "powers", "2", "2,4"),
+        ("featurize", "vocabulary", "H,O", "C"),
+        ("featurize", "output", "a.swirl", "b.swirl"),
+    ],
+)
+def test_config_key_matches_its_flag(tmp_path, command, key, value, explicit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    base = [command, *_POSITIONALS[command]]
+    if command in ("transform", "featurize") and key != "output":
+        base += ["--output", "o"]
+
+    def parsed(*extra):
+        return {k: v for k, v in vars(parse(base + list(extra))).items() if k != "config"}
+
+    assert parsed("--config", str(cfg)) == parsed(f"--{key}", value)
+    # explicit flags win, wherever --config stands
+    assert parsed(f"--{key}", explicit, "--config", str(cfg)) == parsed(f"--{key}", explicit)
+    assert parsed("--config", str(cfg), f"--{key}", explicit) == parsed(f"--{key}", explicit)
+
+
+def test_featurize_output_from_config(tmp_path, water_xyz):
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(water_xyz)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output={tmp_path / 'w.features'}\nresolution=16\n")
+    assert main(["featurize", str(xyz), "--config", str(cfg)]) == 0
+    _, arrays = read_container(tmp_path / "w.features")
+    assert arrays[0].shape == (3, 4, 16, 16)
+
+
+def test_transform_output_from_config(tmp_path, rng):
+    co = random_coefficients(rng, 1, np.array([0, 1]), 8)
+    src = tmp_path / "signal.swirl"
+    write_container(src, *pack_signal(inverse(co, compute_delta(8))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output={tmp_path / 'spec.swirl'}\nbackend=fft\npath=reduced\n")
+    assert main(["transform", str(src), "forward", "--config", str(cfg)]) == 0
+    header, arrays = read_container(tmp_path / "spec.swirl")
+    (co2,) = unpack_coefficients(header, arrays)
+    assert np.abs(co2.coeffs - co.coeffs).max() / np.abs(co.coeffs).max() < 1e-10
+
+
+@pytest.mark.parametrize("from_file", [True, False])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("bench", "backend", "xyz"),
+        ("transform", "backend", "xyz"),
+        ("transform", "path", "both"),
+        ("bench", "resolution", ","),
+        ("featurize", "powers", ","),
+        ("featurize", "resolution", "x"),
+        ("verify", "seed", ""),
+        ("verify", "nonsense", "1"),
+        ("verify", "out", "r.csv"),
+    ],
+)
+def test_bad_option_names_the_flag(tmp_path, capsys, from_file, command, key, value):
+    # unknown keys, abbreviations, empty lists and bad values exit 1 with
+    # an error line naming the flag, from a config file or the command line
+    argv = [command, *_POSITIONALS[command]]
+    if from_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}={value}"]
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--{key}" in err
+
+
+def test_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "(default: 5)" in out and "(default: both)" in out

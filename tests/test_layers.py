@@ -12,7 +12,6 @@ from swirl.layers import (
     ResidualBlockParams,
     apply_phase_collapse,
     phase_collapse,
-    residual_block,
     residual_block_train,
     spectral_batch_norm,
     spectral_conv,
@@ -424,7 +423,7 @@ def test_residual_zero_banks_reduces_to_skip(rng):
     L = 8
     params = _block_params(rng, L, zero_banks=True)
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
-    out = residual_block(sig, params, mode="train")
+    out = residual_block_train(sig, params)[0]
     expected = apply_phase_collapse(sig, params.collapse2)
     np.testing.assert_allclose(out.samples, expected.samples, atol=1e-12)
 
@@ -470,14 +469,14 @@ def test_residual_block_channel_projection(rng):
     )
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
     with pytest.raises(ValueError):
-        residual_block(sig, params, mode="train")
+        residual_block_train(sig, params)[0]
     proj = FilterBank.projection(rng, (0, 1), 2, 4, L)
     params = ResidualBlockParams(
         bank1=params.bank1, bn1=params.bn1, collapse1=params.collapse1,
         bank2=params.bank2, bn2=params.bn2, collapse2=params.collapse2,
         projection=proj,
     )
-    out = residual_block(sig, params, mode="train")
+    out = residual_block_train(sig, params)[0]
     assert out.channels == 8
     np.testing.assert_array_equal(out.spins, [0, 0, 0, 0, 1, 1, 1, 1])
 
