@@ -20,6 +20,8 @@ from .signal import SpinCoefficients, SpinSignal, num_coefficients
 FORMAT_NAME = "swirl-container"
 FORMAT_VERSION = 1
 CONVENTION = "swirl-swsft-v1"
+# the header fields that pack_blocks writes and the block readers check
+_GEOMETRY = ("domain", "convention", "grid_n", "band_limit", "ordering")
 
 
 class ContainerError(ValueError):
@@ -84,37 +86,40 @@ def read_container(path):
     return header, arrays
 
 
+def pack_blocks(items, header: dict | None = None) -> tuple[dict, list]:
+    """Header and payload of SpinSignals, or of SpinCoefficients, of one band limit.
+
+    Keys of `header` other than the geometry fields written here carry over,
+    and so do keys of its i-th block other than shape and spins.
+    """
+    items = list(items)
+    spatial = bool(items) and isinstance(items[0], SpinSignal)
+    bands = {item.grid.band_limit if spatial else item.band_limit for item in items}
+    if len(bands) != 1:
+        raise ContainerError(f"a container holds blocks of one band limit, got {sorted(bands)}")
+    (L,) = bands
+    header = {k: v for k, v in (header or {}).items() if k not in _GEOMETRY}
+    old_blocks = header.pop("blocks", None) or [{}] * len(items)
+    if len(old_blocks) != len(items):
+        raise ContainerError(f"header has {len(old_blocks)} blocks for {len(items)} arrays")
+    arrays = [item.samples if spatial else item.coeffs for item in items]
+    _check_finite(arrays)
+    header.update(domain="spatial" if spatial else "spectral", convention=CONVENTION, grid_n=2 * L, band_limit=L)
+    if not spatial:
+        header["ordering"] = "(batch, channel, degree, order), order ascending from -degree"
+    header["blocks"] = [
+        {**old, "shape": list(arr.shape), "spins": [int(s) for s in item.spins]}
+        for old, arr, item in zip(old_blocks, arrays, items)
+    ]
+    return header, arrays
+
+
 def pack_signal(signal: SpinSignal) -> tuple[dict, list]:
-    header = {
-        "domain": "spatial",
-        "convention": CONVENTION,
-        "grid_n": signal.grid.n,
-        "band_limit": signal.grid.band_limit,
-        "blocks": [
-            {
-                "shape": list(signal.samples.shape),
-                "spins": [int(s) for s in signal.spins],
-            }
-        ],
-    }
-    return header, [signal.samples]
+    return pack_blocks([signal])
 
 
 def pack_coefficients(coeffs: SpinCoefficients) -> tuple[dict, list]:
-    header = {
-        "domain": "spectral",
-        "convention": CONVENTION,
-        "grid_n": 2 * coeffs.band_limit,
-        "band_limit": coeffs.band_limit,
-        "ordering": "(batch, channel, degree, order), order ascending from -degree",
-        "blocks": [
-            {
-                "shape": list(coeffs.coeffs.shape),
-                "spins": [int(s) for s in coeffs.spins],
-            }
-        ],
-    }
-    return header, [coeffs.coeffs]
+    return pack_blocks([coeffs])
 
 
 def header_positive_int(header: dict, field: str) -> int:
@@ -125,35 +130,46 @@ def header_positive_int(header: dict, field: str) -> int:
     return value
 
 
-def _check_convention(header):
-    if header.get("convention") != CONVENTION:
-        raise ContainerError(
-            f"convention tag {header.get('convention')!r} does not match {CONVENTION!r}"
-        )
+def _check_tags(header: dict, **tags):
+    for field, value in {"convention": CONVENTION, **tags}.items():
+        if header.get(field) != value:
+            raise ContainerError(f"expected {field} {value!r}, got {header.get(field)!r}")
+
+
+def _check_finite(arrays):
+    bad = [i for i, arr in enumerate(arrays) if not np.isfinite(arr).all()]
+    if bad:
+        raise ContainerError(f"blocks {bad} have non-finite entries")
+
+
+def _read_blocks(header: dict, arrays, domain: str) -> tuple[int, list]:
+    """(band limit, [(array, spins)]) of a spatial or spectral container, with every field checked."""
+    _check_tags(header, domain=domain)
+    n, L = header_positive_int(header, "grid_n"), header_positive_int(header, "band_limit")
+    if n != 2 * L:
+        raise ContainerError(f"header grid_n {n} must be twice band_limit {L}")
+    blocks = header.get("blocks")
+    if not isinstance(blocks, list) or not blocks or len(blocks) != len(arrays):
+        raise ContainerError("container must have at least one block, one per payload array")
+    spins = [block.get("spins") for block in blocks]
+    if not all(isinstance(s, list) and all(type(x) is int for x in s) for s in spins):
+        raise ContainerError(f"block spins must be lists of integers, got {spins}")
+    _check_finite(arrays)
+    return L, [(arr, np.array(s, dtype=int)) for arr, s in zip(arrays, spins)]
 
 
 def unpack_signal(header: dict, arrays) -> list[SpinSignal]:
-    _check_convention(header)
-    if header.get("domain") != "spatial":
-        raise ContainerError(f"expected a spatial container, got domain {header.get('domain')!r}")
-    grid = make_grid(header_positive_int(header, "grid_n"))
-    out = []
-    for block, arr in zip(header["blocks"], arrays):
-        out.append(SpinSignal(arr, np.asarray(block["spins"], dtype=int), grid))
-    return out
+    L, blocks = _read_blocks(header, arrays, "spatial")
+    grid = make_grid(2 * L)
+    return [SpinSignal(arr, spins, grid) for arr, spins in blocks]
 
 
 def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
-    _check_convention(header)
-    if header.get("domain") != "spectral":
-        raise ContainerError(f"expected a spectral container, got domain {header.get('domain')!r}")
-    L = header_positive_int(header, "band_limit")
-    out = []
-    for block, arr in zip(header["blocks"], arrays):
-        if arr.shape[-1] != num_coefficients(L):
-            raise ContainerError(f"coefficient block has {arr.shape[-1]} entries, expected {num_coefficients(L)}")
-        out.append(SpinCoefficients(arr, np.asarray(block["spins"], dtype=int), L))
-    return out
+    L, blocks = _read_blocks(header, arrays, "spectral")
+    for arr, _ in blocks:
+        if arr.shape[-1:] != (num_coefficients(L),):
+            raise ContainerError(f"coefficient block shape {arr.shape} does not end in {num_coefficients(L)} entries")
+    return [SpinCoefficients(arr, spins, L) for arr, spins in blocks]
 
 
 # --- layer parameters -------------------------------------------------------
@@ -189,9 +205,7 @@ def unpack_filter_bank(header: dict, arrays):
     """Assemble the dense taps from exactly one block per pair of spins_in x spins_out."""
     from .layers import FilterBank
 
-    _check_convention(header)
-    if header.get("kind") != "filter-bank":
-        raise ContainerError(f"expected a filter-bank container, got {header.get('kind')!r}")
+    _check_tags(header, kind="filter-bank")
     L = header_positive_int(header, "band_limit")
     spins_in, spins_out = header.get("spins_in"), header.get("spins_out")
     for spins in (spins_in, spins_out):
@@ -209,61 +223,58 @@ def unpack_filter_bank(header: dict, arrays):
     return FilterBank(weights, spins_in, spins_out)
 
 
+def _pack_roles(kind: str, by_role: dict, **fields) -> tuple[dict, list]:
+    arrays = [np.asarray(arr, dtype=complex) for arr in by_role.values()]
+    blocks = [{"shape": list(arr.shape), "role": role} for role, arr in zip(by_role, arrays)]
+    return {"domain": "parameters", "kind": kind, "convention": CONVENTION, **fields, "blocks": blocks}, arrays
+
+
+def _read_roles(header: dict, arrays, kind: str, required, optional=(), real=()) -> dict:
+    """The arrays of a parameter container by block role: each required role once, each
+    optional role at most once and no other role; the arrays of `real` roles come back real."""
+    _check_tags(header, kind=kind)
+    roles = [block.get("role") for block in header.get("blocks", [])]
+    known = all(role in required + optional for role in roles)
+    if not known or len(set(roles)) < len(roles) or not set(required) <= set(roles):
+        raise ContainerError(f"{kind} block roles {roles} must be each of {required} once, "
+                             f"plus at most one of each of {optional}")
+    _check_finite(arrays)
+    if any(role in real and np.any(arr.imag != 0) for role, arr in zip(roles, arrays)):
+        raise ContainerError(f"{kind} blocks {real} are real but have a nonzero imaginary part")
+    return {role: arr.real if role in real else arr for role, arr in zip(roles, arrays)}
+
+
 def pack_batch_norm(state) -> tuple[dict, list]:
-    arrays = [state.scale.astype(complex), state.bias.astype(complex)]
-    blocks = [{"shape": list(state.scale.shape), "role": "scale"},
-              {"shape": list(state.bias.shape), "role": "bias"}]
+    by_role = {"scale": state.scale, "bias": state.bias}
     if state.running_variance is not None:
-        arrays.append(np.asarray(state.running_variance, dtype=complex))
-        blocks.append({"shape": list(arrays[-1].shape), "role": "running_variance"})
-    header = {
-        "domain": "parameters",
-        "kind": "batch-norm",
-        "convention": CONVENTION,
-        "momentum": state.momentum,
-        "epsilon": state.epsilon,
-        "blocks": blocks,
-    }
-    return header, arrays
+        by_role["running_variance"] = state.running_variance
+    return _pack_roles("batch-norm", by_role, momentum=state.momentum, epsilon=state.epsilon)
 
 
 def unpack_batch_norm(header: dict, arrays):
     from .layers import BatchNormState
 
-    _check_convention(header)
-    if header.get("kind") != "batch-norm":
-        raise ContainerError(f"expected a batch-norm container, got {header.get('kind')!r}")
-    by_role = {block["role"]: arr for block, arr in zip(header["blocks"], arrays)}
-    running = by_role.get("running_variance")
-    return BatchNormState(
-        scale=by_role["scale"].real,
-        bias=by_role["bias"],
-        running_variance=None if running is None else running.real,
-        momentum=float(header["momentum"]),
-        epsilon=float(header["epsilon"]),
-    )
+    by_role = _read_roles(header, arrays, "batch-norm", ("scale", "bias"), ("running_variance",),
+                          real=("scale", "running_variance"))
+    shapes = {role: arr.shape for role, arr in by_role.items()}
+    if by_role["scale"].ndim != 1 or len(set(shapes.values())) > 1:
+        raise ContainerError(f"batch-norm blocks must share one (channels,) shape, got {shapes}")
+    numbers = [header.get("momentum"), header.get("epsilon")]
+    if any(type(x) not in (int, float) for x in numbers):
+        raise ContainerError(f"batch-norm momentum and epsilon must be numbers, got {numbers}")
+    return BatchNormState(by_role["scale"], by_role["bias"], by_role.get("running_variance"), *map(float, numbers))
 
 
 def pack_phase_collapse(params) -> tuple[dict, list]:
-    arrays = [params.w1, params.w2.astype(complex), params.bias]
-    header = {
-        "domain": "parameters",
-        "kind": "phase-collapse",
-        "convention": CONVENTION,
-        "blocks": [
-            {"shape": list(arrays[0].shape), "role": "w1"},
-            {"shape": list(arrays[1].shape), "role": "w2"},
-            {"shape": list(arrays[2].shape), "role": "bias"},
-        ],
-    }
-    return header, arrays
+    return _pack_roles("phase-collapse", {"w1": params.w1, "w2": params.w2, "bias": params.bias})
 
 
 def unpack_phase_collapse(header: dict, arrays):
     from .layers import PhaseCollapseParams
 
-    _check_convention(header)
-    if header.get("kind") != "phase-collapse":
-        raise ContainerError(f"expected a phase-collapse container, got {header.get('kind')!r}")
-    by_role = {block["role"]: arr for block, arr in zip(header["blocks"], arrays)}
-    return PhaseCollapseParams(by_role["w1"], by_role["w2"].real, by_role["bias"])
+    by_role = _read_roles(header, arrays, "phase-collapse", ("w1", "w2", "bias"), real=("w2",))
+    w1, w2, bias = by_role["w1"], by_role["w2"], by_role["bias"]
+    if bias.ndim != 1 or w1.shape != bias.shape * 2 or w2.ndim != 2 or w2.shape[0] != bias.shape[0]:
+        raise ContainerError(f"phase-collapse shapes w1 {w1.shape}, w2 {w2.shape}, bias {bias.shape} "
+                             "are not (C0, C0), (C0, C), (C0,)")
+    return PhaseCollapseParams(w1, w2, bias)

@@ -399,6 +399,8 @@ def test_transform_output_from_config(tmp_path, rng):
         ("featurize", "powers", ","),
         ("featurize", "resolution", "x"),
         ("verify", "seed", ""),
+        ("verify", "seed", "-1"),
+        ("bench", "seed", "-1"),
         ("verify", "nonsense", "1"),
         ("verify", "out", "r.csv"),
     ],
@@ -424,3 +426,60 @@ def test_help_shows_defaults(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "(default: 5)" in out and "(default: both)" in out
+
+
+def test_transform_inverse_drops_the_spectral_ordering(tmp_path, rng):
+    src = tmp_path / "spec.swirl"
+    write_container(src, *pack_coefficients(random_coefficients(rng, 1, np.array([0, 1]), 4)))
+    out = tmp_path / "back.swirl"
+    assert main(["transform", str(src), "inverse", "--output", str(out)]) == 0
+    header, _ = read_container(out)
+    assert header["domain"] == "spatial" and "ordering" not in header
+
+
+def _write_spatial(path, header_fields, block_fields, array):
+    header = {"format": "swirl-container", "domain": "spatial", "convention": "swirl-swsft-v1",
+              "grid_n": 8, "band_limit": 4, **header_fields}
+    header["blocks"] = [{"shape": list(array.shape), "spins": [0], **block_fields}] if array is not None else []
+    write_container(path, header, [] if array is None else [array])
+
+
+@pytest.mark.parametrize(
+    "header_fields, block_fields, array, match",
+    [
+        pytest.param({}, {}, None, "at least one block", id="no-blocks"),
+        pytest.param({}, {"spins": [0.5]}, np.ones((1, 1, 8, 8)), "spins", id="float-spin"),
+        pytest.param({}, {"spins": [True]}, np.ones((1, 1, 8, 8)), "spins", id="bool-spin"),
+        pytest.param({"band_limit": 3}, {}, np.ones((1, 1, 8, 8)), "grid_n", id="grid_n-disagrees"),
+        pytest.param({}, {}, np.where(np.eye(8) > 0, np.nan, 1.0)[None, None], "non-finite", id="nan-sample"),
+    ],
+)
+def test_transform_rejects_malformed_spatial_input(tmp_path, capsys, header_fields, block_fields, array, match):
+    src = tmp_path / "bad.swirl"
+    _write_spatial(src, header_fields, block_fields, array)
+    out = tmp_path / "out.swirl"
+    assert main(["transform", str(src), "forward", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert not out.exists()
+
+
+def test_featurize_rejects_non_finite_features(tmp_path, capsys, water_xyz):
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(water_xyz)
+    out = tmp_path / "w.features"
+    with np.errstate(all="ignore"):
+        code = main(["featurize", str(xyz), "--resolution", "8", "--powers", "-100000", "--output", str(out)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_featurize_refuses_a_grid_larger_than_memory(tmp_path, capsys, water_xyz):
+    # 3 atoms x 4 channels x 100000^2 complex samples is 1.75 TiB: the
+    # estimate stops the command before any grid is allocated
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(water_xyz)
+    assert main(["featurize", str(xyz), "--resolution", "100000", "--output", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--resolution 100000" in err and "1788.1 GiB" in err

@@ -9,6 +9,7 @@ from swirl.containers import (
     CONVENTION,
     FORMAT_NAME,
     ContainerError,
+    pack_blocks,
     pack_coefficients,
     pack_signal,
     read_container,
@@ -302,3 +303,174 @@ def test_malformed_header_rejected(tmp_path, header, match):
     _write_raw(path, header, bytes(64))
     with pytest.raises(ContainerError, match=match):
         read_container(path)
+
+
+def _spatial_header(**fields):
+    header = {"format": FORMAT_NAME, "domain": "spatial", "convention": CONVENTION, "grid_n": 8, "band_limit": 4}
+    return {**header, **fields}
+
+
+@pytest.mark.parametrize(
+    "header, arrays, match",
+    [
+        pytest.param(_spatial_header(blocks=[]), [], "at least one block", id="no-blocks"),
+        pytest.param(_spatial_header(blocks=[{"shape": [1, 1, 8, 8], "spins": [0.5]}]),
+                     [np.zeros((1, 1, 8, 8))], "spins", id="float-spin"),
+        pytest.param(_spatial_header(blocks=[{"shape": [1, 1, 8, 8], "spins": [True]}]),
+                     [np.zeros((1, 1, 8, 8))], "spins", id="bool-spin"),
+        pytest.param(_spatial_header(blocks=[{"shape": [1, 1, 8, 8]}]),
+                     [np.zeros((1, 1, 8, 8))], "spins", id="missing-spins"),
+        pytest.param(_spatial_header(band_limit=3, blocks=[{"shape": [1, 1, 8, 8], "spins": [0]}]),
+                     [np.zeros((1, 1, 8, 8))], "grid_n", id="grid_n-disagrees"),
+        pytest.param(_spatial_header(blocks=[{"shape": [1, 1, 8, 8], "spins": [0]}]),
+                     [np.full((1, 1, 8, 8), np.nan)], "non-finite", id="nan-payload"),
+        pytest.param(_spatial_header(blocks=[{"shape": [1, 1, 8, 8], "spins": [0]}]),
+                     [np.full((1, 1, 8, 8), np.inf)], "non-finite", id="inf-payload"),
+    ],
+)
+def test_malformed_spatial_container_rejected(tmp_path, header, arrays, match):
+    path = tmp_path / "bad.swirl"
+    write_container(path, header, arrays)
+    with pytest.raises(ContainerError, match=match):
+        unpack_signal(*read_container(path))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(lambda h, a: h.update(grid_n=6), "grid_n", id="grid_n-disagrees"),
+        pytest.param(lambda h, a: h.pop("grid_n"), "grid_n", id="missing-grid_n"),
+        pytest.param(lambda h, a: h["blocks"][0].update(spins=[1.0]), "spins", id="float-spin"),
+        pytest.param(lambda h, a: a[0].__setitem__((0, 0, 3), np.nan), "non-finite", id="nan-payload"),
+        pytest.param(lambda h, a: h["blocks"][0].update(shape=[]) or a.__setitem__(0, a[0][0, 0, 0]),
+                     "does not end in", id="scalar-block"),
+    ],
+)
+def test_malformed_spectral_container_rejected(tmp_path, rng, edit, match):
+    header, arrays = pack_coefficients(random_coefficients(rng, 1, np.array([0]), 4))
+    arrays = [a.copy() for a in arrays]
+    edit(header, arrays)
+    path = tmp_path / "bad.swirl"
+    write_container(path, header, arrays)
+    with pytest.raises(ContainerError, match=match):
+        unpack_coefficients(*read_container(path))
+
+
+def test_pack_refuses_non_finite_and_mixed_band_limits(rng):
+    co = random_coefficients(rng, 1, np.array([0]), 4)
+    bad = SpinSignal(np.full((1, 1, 8, 8), np.inf, dtype=complex), np.array([0]), make_grid(8))
+    with pytest.raises(ContainerError, match="non-finite"):
+        pack_signal(bad)
+    with pytest.raises(ContainerError, match="one band limit"):
+        pack_blocks([co, random_coefficients(rng, 1, np.array([0]), 5)])
+    with pytest.raises(ContainerError, match="one band limit"):
+        pack_blocks([])
+
+
+_EXTRA_VALUES = st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=4) | st.lists(st.integers(), max_size=2)
+_GEOMETRY_KEYS = ["domain", "convention", "grid_n", "band_limit", "ordering"]
+_EXTRA_KEYS = st.sampled_from(_GEOMETRY_KEYS + ["kind", "vocabulary"]) | st.text(max_size=6).filter(
+    lambda k: k not in ("format", "version", "blocks")
+)
+
+
+@given(
+    spatial=st.booleans(),
+    band_limit=st.integers(1, 4),
+    spins=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=1, max_size=3),
+    extra=st.dictionaries(_EXTRA_KEYS, _EXTRA_VALUES, max_size=4),
+    block_extra=st.dictionaries(st.sampled_from(["shape", "spins", "atoms", "comment", "role"]) | st.text(max_size=4),
+                                _EXTRA_VALUES, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_pack_blocks_round_trip_keeps_extra_keys(tmp_path_factory, spatial, band_limit, spins, extra, block_extra, seed):
+    # Blocks of one band limit pack under any header: they read back equal,
+    # every non-geometry header and block key carries over unchanged, the
+    # geometry fields are the packer's own, and no key of the other domain
+    # stays behind.
+    rng = np.random.default_rng(seed)
+    spins = [[s for s in block if abs(s) < band_limit] or [0] for block in spins]
+    items = [random_coefficients(rng, 1, np.array(s), band_limit) for s in spins]
+    if spatial:
+        items = [inverse(co, compute_delta(band_limit)) for co in items]
+    header, arrays = pack_blocks(items, {**extra, "blocks": [dict(block_extra) for _ in items]})
+    path = tmp_path_factory.mktemp("pack") / "packed.swirl"
+    write_container(path, header, arrays)
+    header2, arrays2 = read_container(path)
+    unpacked = (unpack_signal if spatial else unpack_coefficients)(header2, arrays2)
+    for item, back in zip(items, unpacked):
+        np.testing.assert_array_equal(back.samples if spatial else back.coeffs, item.samples if spatial else item.coeffs)
+        np.testing.assert_array_equal(back.spins, item.spins)
+    assert header2["domain"] == ("spatial" if spatial else "spectral")
+    assert (header2["grid_n"], header2["band_limit"]) == (2 * band_limit, band_limit)
+    assert ("ordering" in header2) is not spatial
+    assert all(header2[k] == v for k, v in extra.items() if k not in _GEOMETRY_KEYS)
+    for block in header2["blocks"]:
+        assert all(block[k] == v for k, v in block_extra.items() if k not in ("shape", "spins"))
+
+
+def _roles(*names):
+    def edit(header, arrays):
+        header["blocks"] = [{**block, "role": name} for block, name in zip(header["blocks"], names)]
+    return edit
+
+
+def _set_array(i, value):
+    def edit(header, arrays):
+        arrays[i] = np.asarray(value, dtype=complex)
+        header["blocks"][i]["shape"] = list(arrays[i].shape)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_roles("scale", "scale", "running_variance"), id="duplicated-role"),
+        pytest.param(_roles("scale", "offset", "running_variance"), id="unknown-role"),
+        pytest.param(lambda h, a: h["blocks"][1].pop("role"), id="missing-role-key"),
+        pytest.param(lambda h, a: (h["blocks"].pop(0), a.pop(0)), id="missing-scale"),
+        pytest.param(lambda h, a: h.update(momentum=[0.1]), id="list-momentum"),
+        pytest.param(lambda h, a: h.update(epsilon="1e-5"), id="text-epsilon"),
+        pytest.param(lambda h, a: h.update(momentum=True), id="bool-momentum"),
+        pytest.param(_set_array(1, [0.0]), id="short-bias"),
+        pytest.param(_set_array(2, [1.0, 1.0, 1.0]), id="long-running_variance"),
+        pytest.param(_set_array(0, [[1.0, 1.0]]), id="2d-scale"),
+        pytest.param(_set_array(0, [1.0, 1.0 + 0.5j]), id="complex-scale"),
+        pytest.param(_set_array(1, [np.nan, 0.0]), id="nan-bias"),
+    ],
+)
+def test_malformed_batch_norm_rejected(tmp_path, rng, edit):
+    from swirl.containers import pack_batch_norm, unpack_batch_norm
+    from swirl.layers import BatchNormState
+
+    state = BatchNormState(np.ones(2), np.zeros(2, dtype=complex), np.ones(2), 0.1, 1e-5)
+    header, arrays = pack_batch_norm(state)
+    edit(header, arrays)
+    path = tmp_path / "bn.swirl"
+    write_container(path, header, arrays)
+    with pytest.raises(ContainerError):
+        unpack_batch_norm(*read_container(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_roles("w1", "w1", "bias"), id="duplicated-role"),
+        pytest.param(lambda h, a: (h["blocks"].pop(), a.pop()), id="missing-bias"),
+        pytest.param(_set_array(0, np.ones((2, 3))), id="wrong-shape-w1"),
+        pytest.param(_set_array(1, np.ones(4)), id="1d-w2"),
+        pytest.param(_set_array(1, np.ones((3, 4))), id="w2-rows-disagree"),
+        pytest.param(_set_array(2, np.ones(3)), id="long-bias"),
+        pytest.param(_set_array(1, np.full((2, 4), 1.0 + 1.0j)), id="complex-w2"),
+    ],
+)
+def test_malformed_phase_collapse_rejected(tmp_path, rng, edit):
+    from swirl.containers import pack_phase_collapse, unpack_phase_collapse
+    from swirl.layers import PhaseCollapseParams
+
+    header, arrays = pack_phase_collapse(PhaseCollapseParams.random(rng, 2, 4))
+    edit(header, arrays)
+    path = tmp_path / "pc.swirl"
+    write_container(path, header, arrays)
+    with pytest.raises(ContainerError):
+        unpack_phase_collapse(*read_container(path))

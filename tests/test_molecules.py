@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swirl.equivariance import rotate_coefficients
 from swirl.grid import make_grid
@@ -58,6 +60,24 @@ def test_parse_multi_molecule(water_xyz):
     np.testing.assert_array_equal(mols[1].atomic_numbers, [1, 1])
     with pytest.raises(XYZParseError, match="single molecule"):
         parse_xyz(text)
+
+
+_XYZ_LINES = st.lists(
+    st.sampled_from(["", "1", "2", "3", "0", "-1", "99999999999", "x", "comment", "H 0 0 0", "O 0 0 1.5e0",
+                     "H 0 0 0.74*^0", "H 0 0", "Xx 0 0 0", "H nan 0 0", "H inf 0 0", "H 1e400 0 0", "  "])
+    | st.text(max_size=12),
+    max_size=10,
+)
+
+
+@given(st.one_of(_XYZ_LINES.map("\n".join), st.text(max_size=40)))
+def test_parse_xyz_many_fuzzed(text):
+    # any text either parses into valid molecules or raises XYZParseError/ValueError
+    try:
+        molecules = parse_xyz_many(text)
+    except ValueError:
+        return
+    assert molecules and all(np.all(np.isfinite(mol.positions)) for mol in molecules)
 
 
 def test_parse_scientific_notation_variants():
