@@ -8,9 +8,11 @@ with the order ascending from -degree within each degree.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -57,7 +59,7 @@ def _block_shape(block) -> tuple:
 
 
 def read_container(path):
-    """Returns (header, list of complex128 arrays)."""
+    """Returns (header, list of complex128 arrays), each block read straight into its array."""
     with open(path, "rb") as fh:
         first = fh.readline()
         try:
@@ -66,23 +68,25 @@ def read_container(path):
             raise ContainerError(f"invalid container header: {exc}") from None
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ContainerError(f"not a {FORMAT_NAME} file")
-        payload = fh.read()
-    blocks = header.get("blocks", [])
-    if not isinstance(blocks, list):
-        raise ContainerError(f"header 'blocks' must be a list, got {type(blocks).__name__}")
-    arrays = []
-    offset = 0
-    for block in blocks:
-        shape = _block_shape(block)
-        count = math.prod(shape)
-        nbytes = count * 16
-        if offset + nbytes > len(payload):
+        blocks = header.get("blocks", [])
+        if not isinstance(blocks, list):
+            raise ContainerError(f"header 'blocks' must be a list, got {type(blocks).__name__}")
+        shapes = [_block_shape(block) for block in blocks]
+        payload = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe's size is known once it is read
+        start = payload.tell()
+        excess = payload.seek(0, os.SEEK_END) - start - sum(16 * math.prod(shape) for shape in shapes)
+        if excess < 0:
             raise ContainerError("payload shorter than the header promises")
-        arr = np.frombuffer(payload, dtype="<c16", count=count, offset=offset).reshape(shape)
-        arrays.append(arr.copy())
-        offset += nbytes
-    if offset != len(payload):
-        raise ContainerError(f"{len(payload) - offset} trailing payload bytes beyond the header blocks")
+        if excess > 0:
+            raise ContainerError(f"{excess} trailing payload bytes beyond the header blocks")
+        version = header.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ContainerError(f"expected container version {FORMAT_VERSION}, got {version!r}")
+        payload.seek(start)
+        arrays = [np.empty(shape, dtype="<c16") for shape in shapes]
+        for arr in arrays:
+            if payload.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ContainerError("payload shorter than the header promises")
     return header, arrays
 
 

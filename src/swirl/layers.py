@@ -135,10 +135,10 @@ class PhaseCollapseParams:
         )
 
     @classmethod
-    def random(cls, rng, spin_zero_channels, total_channels, modulus_scale=1.0) -> "PhaseCollapseParams":
+    def random(cls, rng, spin_zero_channels, total_channels) -> "PhaseCollapseParams":
         c0, ct = spin_zero_channels, total_channels
         w1 = (rng.normal(size=(c0, c0)) + 1j * rng.normal(size=(c0, c0))) / np.sqrt(2 * c0)
-        w2 = rng.normal(size=(c0, ct)) * modulus_scale / np.sqrt(ct)
+        w2 = rng.normal(size=(c0, ct)) / np.sqrt(ct)
         bias = rng.normal(size=c0) + 1j * rng.normal(size=c0)
         return cls(w1, w2, bias)
 

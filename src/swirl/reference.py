@@ -211,20 +211,16 @@ def spherical_integral_quadrature(values_fn, band_limit: int) -> complex:
     return complex((vals.sum(axis=1) * pw * tw).sum())
 
 
-def spatial_variance_quadrature(
-    flat_coeffs: np.ndarray, spin: int, band_limit: int, central: bool | None = None
-) -> float:
+def spatial_variance_quadrature(flat_coeffs: np.ndarray, spin: int, band_limit: int) -> float:
     """Variance of the synthesized function over the normalized sphere measure.
 
     For spin 0 the spherical mean (the (0,0) coefficient slot) is
     subtracted; nonzero spins have no mean slot in the coefficient model,
     so their spectral variance is the plain mean square and the spatial
-    counterpart follows suit (central=False).
+    counterpart follows suit.
     """
-    if central is None:
-        central = spin == 0
     theta, tw, phi, pw = gauss_legendre_nodes(band_limit)
     vals = synthesize_at(flat_coeffs, spin, band_limit, theta[:, None], phi[None, :])
-    mean = (vals.sum(axis=1) * pw * tw).sum() / (4 * np.pi) if central else 0.0
+    mean = (vals.sum(axis=1) * pw * tw).sum() / (4 * np.pi) if spin == 0 else 0.0
     sq = ((np.abs(vals - mean) ** 2).sum(axis=1) * pw * tw).sum() / (4 * np.pi)
     return float(sq.real)

@@ -1,40 +1,33 @@
 """Forward and inverse spin-weighted spherical Fourier transforms.
 
-The forward transform extends the signal to the torus, runs a 2D Fourier
-analysis (FFT or explicit DFT-matrix products) and applies the
-colatitude-frequency quadrature weights, giving the inner products
-I_{m',m}.  It then contracts them with the Delta tables, one matmul per
-order m against the kernel
+A spin-s transform on the n x n grid (n = 2L) is three linear stages:
+1. Longitude: a DFT (np.fft or a DFT-matrix product: the backend) over the
+   n longitudes of every colatitude row gives the orders m in [-(L-1), L-1].
+2. Colatitude: one matmul per parity p = (-1)^(m+s) takes the n rows theta_j
+   to the rows m' of the inner products I_{m',m}, and the rows of G back:
 
-    K_s[m, l, m'] = alpha_l Delta^l_{m',m} Delta^l_{m',-s},
-    alpha_l = sqrt((2l+1)/(4pi)),
+       analysis_p = R_p W (E + p E[::-1]) / (2 n^2),    synthesis_p = conj(R_p E)^T,
 
-    coeff(l, m) = (-1)^s i^(m+s) sum_{m'} K_s[m, l, m'] I_{m',m}.
+   with E[m'', j] = e^{-i m'' theta_j} and W = grid.weight_matrix: the torus
+   extension of McEwen & Wiaux (2011) in closed form, whose mirrored row of
+   theta_j sits at 2 pi - theta_j with sign p.  The symmetry path only picks
+   the rows R_p: all of them on the full path, so G is computed there without
+   imposing G_{-m',m} = p G_{m',m}; m' >= 0 on the reduced path, whose row
+   m' > 0 is row m' plus p times row -m'.
+3. Orders: one matmul per order m against the kernel
+   K_s[m, l, m'] = alpha_l Delta^l_{m',m} Delta^l_{m',-s}, alpha_l = sqrt((2l+1)/(4pi)):
 
-The inverse applies the transpose of the same kernel to assemble
+       coeff(l, m) = (-1)^s i^(m+s) sum_{m'} K_s[m, l, m'] I_{m',m},
+       G_{-m',m} = (-1)^s i^(m+s) sum_l K_s[m, l, m'] coeff(l, m).
 
-    G_{-m',m} = (-1)^s i^(m+s) sum_l K_s[m, l, m'] coeff(l, m)
+   The kernel is read from rows of the tables: K_s[m, l, m'] = (-1)^(m+s) alpha_l
+   Delta^l_{m,m'} Delta^l_{-s,m'}, and G_{m',m} is the same sum up to (-1)^(m+s)
+   as Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}.  Orders m < 0 reuse the kernel
+   of -m, as Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m} exactly in the tables:
+   (-1)^m' moves onto the input (forward) or output (inverse), (-1)^l the other way.
 
-and synthesizes samples with a 2D Fourier synthesis.  The kernel is read
-from rows of the tables: by the transpose symmetry
-K_s[m, l, m'] = (-1)^(m+s) alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}, and
-since Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}, G_{m',m} is the same
-sum up to (-1)^(m+s).  Both signs join the per-order phase.  Orders m < 0
-reuse the kernel of -m: Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m}
-holds exactly in the stored tables, so the sign (-1)^m' moves onto the
-input (forward) or output (inverse) and (-1)^l onto the other side.
-
-The two symmetry paths differ only in the kernel rows m'.  The full path
-builds every row from the tables, so G is computed without imposing its
-symmetry G_{-m',m} = (-1)^(m+s) G_{m',m}.  The reduced path builds only
-m' >= 0: the forward folds I_{m',m} + (-1)^(m+s) I_{-m',m} into those rows
-before the matmul, and the inverse fills the rows m' < 0 of G by that
-symmetry after it.  All four backend/path combinations are numerically
-equivalent; they differ only in speed.
-
-Kernels are transient: each call rebuilds them from the WignerTables in
-chunks of orders of at most _KERNEL_CHUNK_BYTES, and nothing beyond the
-tables is cached.
+All four backend/path combinations agree to rounding.  Kernels are rebuilt per call
+in chunks of _KERNEL_CHUNK_BYTES bytes; only the colatitude maps are cached.
 """
 
 from __future__ import annotations
@@ -44,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import grid as grid_mod
-from .grid import SphericalGrid, weight_matrix
+from .grid import SphericalGrid, make_grid, weight_matrix
 from .signal import SpinCoefficients, SpinSignal, degree_of_index, num_coefficients
 from .wigner import WignerTables, _I_POW
 
@@ -69,9 +61,7 @@ class TransformConfig:
 
 DEFAULT_CONFIG = TransformConfig()
 
-# Byte budget of one chunk of kernel orders: the kernels are rebuilt from
-# the tables on every call and never held beyond one chunk.
-_KERNEL_CHUNK_BYTES = 4 << 20
+_KERNEL_CHUNK_BYTES = 4 << 20  # byte budget of one chunk of kernel orders
 
 
 @lru_cache(maxsize=32)
@@ -80,6 +70,14 @@ def _dft_matrix(n: int) -> np.ndarray:
     E = np.exp(-2j * np.pi * np.outer(q, q) / n)
     E.flags.writeable = False
     return E
+
+
+def _dft(values: np.ndarray, direction: str, backend: str) -> np.ndarray:
+    # unnormalized 1-D DFT over the last axis, kernel e^{-2 pi i km/n} ('analysis') or its conjugate
+    if backend == "fft":
+        return np.fft.fft(values) if direction == "analysis" else np.fft.ifft(values, norm="forward")
+    E = _dft_matrix(values.shape[-1])  # symmetric
+    return values @ (E if direction == "analysis" else E.conj())
 
 
 def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.ndarray:
@@ -92,15 +90,8 @@ def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.n
         raise ValueError(f"direction must be 'analysis' or 'synthesis', got {direction!r}")
     if backend not in FOURIER_BACKENDS:
         raise ValueError(f"backend must be one of {FOURIER_BACKENDS}, got {backend!r}")
-    if backend == "fft":
-        if direction == "analysis":
-            return np.fft.fft2(values)
-        return np.fft.ifft2(values)
-    rows, cols = values.shape[-2:]
-    Er, Ec = _dft_matrix(rows), _dft_matrix(cols)
-    if direction == "analysis":
-        return np.matmul(np.matmul(Er, values), Ec.T)
-    return np.matmul(np.matmul(Er.conj(), values), Ec.T.conj()) / (rows * cols)
+    out = _dft(_dft(values, direction, backend).swapaxes(-1, -2), direction, backend).swapaxes(-1, -2)
+    return out if direction == "analysis" else out / values.shape[-1] / values.shape[-2]
 
 
 def _signs(k) -> np.ndarray:
@@ -114,26 +105,53 @@ def _phase_vector(L: int, spin: int) -> np.ndarray:
     return (-1.0) ** spin * _I_POW[(m + spin) % 4]
 
 
-def _parity_signs(L: int, spin: int) -> np.ndarray:
-    return _signs(np.arange(-(L - 1), L) + spin)
+def _parities(L: int, spin: int):
+    # (p, columns, longitude indices) of the orders m = -(L-1) .. L-1 with (-1)^(m+s) = p
+    orders = np.arange(-(L - 1), L)
+    for first in (0, 1):
+        yield (1 if (first - L + 1 + spin) % 2 == 0 else -1), slice(first, None, 2), orders[first::2] % (2 * L)
+
+
+@lru_cache(maxsize=32)
+def _colatitude_maps(L: int, parity: int, reduced: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R_p (rows, 2L-1), analysis (rows, n) and synthesis (n, rows) for the orders of parity p."""
+    n, c = 2 * L, L - 1
+    R = np.eye(2 * L - 1)
+    if reduced:
+        R = R[c:]
+        k = np.arange(1, L)
+        R[k, c - k] = parity
+    E = np.exp(-1j * np.outer(np.arange(-c, L), make_grid(n).colatitudes))
+    analysis = R @ weight_matrix(n) @ (E + parity * E[::-1]) / (2 * n * n)
+    synthesis = np.ascontiguousarray((R @ E).conj().T)
+    R.flags.writeable = analysis.flags.writeable = synthesis.flags.writeable = False
+    return R, analysis, synthesis
+
+
+def _analysis(samples, spin, L, backend, reduced):
+    """I_{m',m} on the path's rows m' of samples (..., n, n), shape (..., rows, 2L-1)."""
+    spec = _dft(np.asarray(samples, dtype=complex), "analysis", backend)
+    out = np.empty(spec.shape[:-2] + (L if reduced else 2 * L - 1, 2 * L - 1), dtype=complex)
+    for p, cols, k in _parities(L, spin):
+        out[..., cols] = _colatitude_maps(L, p, reduced)[1] @ spec[..., k]
+    return out
+
+
+def _synthesis(G, spin, L, backend, reduced):
+    """Samples (..., n, n) of G_{m',m} given on the path's rows m', (..., rows, 2L-1)."""
+    spec = np.zeros(G.shape[:-2] + (2 * L, 2 * L), dtype=complex)
+    for p, cols, k in _parities(L, spin):
+        spec[..., k] = _colatitude_maps(L, p, reduced)[2] @ G[..., cols]
+    return _dft(spec, "synthesis", backend)
 
 
 def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend: str = "fft") -> np.ndarray:
-    """Torus-pipeline inner products I_{m',m} of samples (..., n, n).
+    """Inner products I_{m',m} of samples (..., n, n).
 
     I_{m',m} = integral of f(theta, phi) e^{-i m' theta} e^{-i m phi}
     over the sphere, exact for band-limited f; m', m in [-(L-1), L-1].
     """
-    n = grid.n
-    L = grid.band_limit
-    ext = grid_mod.extend_samples(np.asarray(samples, dtype=complex), spin, n)
-    spec = fourier_2d(ext, "analysis", backend) / (2 * n * n)
-    t_idx = np.arange(-(L - 1), L) % (2 * n)
-    p_idx = np.arange(-(L - 1), L) % n
-    F = spec[..., t_idx[:, None], p_idx[None, :]]
-    offset = np.exp(-1j * np.arange(-(L - 1), L) * np.pi / (2 * n))
-    F = F * offset[:, None]
-    return weight_matrix(n) @ F
+    return _analysis(samples, spin, grid.band_limit, backend, reduced=False)
 
 
 def _check_tables(band_limit: int, tables: WignerTables):
@@ -148,7 +166,7 @@ def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = 
     out = np.zeros(signal.samples.shape[:2] + (num_coefficients(L),), dtype=complex)
     for spin in np.unique(signal.spins):
         sel = signal.spins == spin
-        out[:, sel] = _forward_block(signal.samples[:, sel], int(spin), signal.grid, tables, config)
+        out[:, sel] = _forward_block(signal.samples[:, sel], int(spin), L, tables, config)
     return SpinCoefficients(out, signal.spins.copy(), L)
 
 
@@ -201,20 +219,13 @@ def _per_order(x, spin, L, tables, reduced, adjoint):
     return out
 
 
-def _forward_block(samples, spin, grid, tables, config):
-    L = grid.band_limit
+def _forward_block(samples, spin, L, tables, config):
     c = L - 1
-    I = inner_products(samples, spin, grid, config.fourier_backend)
-    lead = I.shape[:-2]
-    B = int(np.prod(lead))
-    I = I.reshape((B, 2 * L - 1, 2 * L - 1))
     reduced = config.symmetry_path == "reduced"
-    if reduced:
-        J = I[:, c:, :].copy()
-        if L > 1:
-            J[:, 1:, :] += _parity_signs(L, spin) * I[:, c - 1 :: -1, :]
-        I = J
-    rows = I.shape[1]
+    I = _analysis(samples, spin, L, config.fourier_backend, reduced)
+    lead, rows = I.shape[:-2], I.shape[-2]
+    B = int(np.prod(lead))
+    I = I.reshape((B, rows, 2 * L - 1))
     row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
     # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
     x = np.empty((L, rows, 2, B), dtype=complex)
@@ -230,21 +241,24 @@ def _forward_block(samples, spin, grid, tables, config):
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The synthesis G matrix, shape (batch, channels, 2L-1, 2L-1).
 
-    Satisfies G_{m',m} = (-1)^(m+s) G_{-m',m}; in the reduced path only
-    m' >= 0 is computed and the negative rows are filled by that symmetry.
+    Satisfies G_{m',m} = (-1)^(m+s) G_{-m',m}; the reduced path computes
+    only m' >= 0 and unfolds the negative rows with R_p^T.
     """
     L = coeffs.band_limit
     _check_tables(L, tables)
+    reduced = config.symmetry_path == "reduced"
     out = np.zeros(coeffs.coeffs.shape[:2] + (2 * L - 1, 2 * L - 1), dtype=complex)
     for spin in np.unique(coeffs.spins):
         sel = coeffs.spins == spin
-        out[:, sel] = _g_block(coeffs.coeffs[:, sel], int(spin), L, tables, config)
+        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables, reduced)
+        for p, cols, _ in _parities(L, int(spin)):
+            out[:, sel, :, cols] = _colatitude_maps(L, p, reduced)[0].T @ G[..., cols]
     return out
 
 
-def _g_block(flat, spin, L, tables, config):
+def _g_rows(flat, spin, L, tables, reduced):
+    """G_{m',m} on the path's rows m', shape flat.shape[:-1] + (rows, 2L-1)."""
     c = L - 1
-    reduced = config.symmetry_path == "reduced"
     lead = flat.shape[:-1]
     B = int(np.prod(lead))
     mu, l, half, m = _flat_orders(L)
@@ -255,13 +269,10 @@ def _g_block(flat, spin, L, tables, config):
     rows = y.shape[1]
     y = y.view(complex).reshape(L, rows, 2, B)
     row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
-    G = np.empty((B, 2 * L - 1, 2 * L - 1), dtype=complex)
-    top = slice(c, None) if reduced else slice(None)
-    G[:, top, c:] = y[:, :, 0].transpose(2, 1, 0)
-    G[:, top, :c] = (row_signs * y[:0:-1, :, 1]).transpose(2, 1, 0)
-    if reduced and L > 1:
-        G[:, :c, :] = _parity_signs(L, spin) * G[:, 2 * c : c : -1, :]
-    return G.reshape(lead + (2 * L - 1, 2 * L - 1))
+    G = np.empty((B, rows, 2 * L - 1), dtype=complex)
+    G[:, :, c:] = y[:, :, 0].transpose(2, 1, 0)
+    G[:, :, :c] = (row_signs * y[:0:-1, :, 1]).transpose(2, 1, 0)
+    return G.reshape(lead + (rows, 2 * L - 1))
 
 
 def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:
@@ -270,20 +281,9 @@ def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformCon
     _check_tables(L, tables)
     grid = coeffs.grid()
     out = np.empty(coeffs.coeffs.shape[:2] + (grid.n, grid.n), dtype=complex)
+    reduced = config.symmetry_path == "reduced"
     for spin in np.unique(coeffs.spins):
         sel = coeffs.spins == spin
-        G = _g_block(coeffs.coeffs[:, sel], int(spin), L, tables, config)
-        out[:, sel] = _synthesize(G, L, config)
+        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables, reduced)
+        out[:, sel] = _synthesis(G, int(spin), L, config.fourier_backend, reduced)
     return SpinSignal(out, coeffs.spins.copy(), grid)
-
-
-def _synthesize(G, L, config):
-    n = 2 * L
-    offset = np.exp(1j * np.arange(-(L - 1), L) * np.pi / (2 * n))
-    G = G * offset[:, None]
-    S = np.zeros(G.shape[:-2] + (2 * n, n), dtype=complex)
-    t_idx = np.arange(-(L - 1), L) % (2 * n)
-    p_idx = np.arange(-(L - 1), L) % n
-    S[..., t_idx[:, None], p_idx[None, :]] = G
-    f = fourier_2d(S, "synthesis", config.fourier_backend) * (2 * n * n)
-    return f[..., :n, :]

@@ -131,7 +131,8 @@ def check_grid_extension(seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_wigner_delta_oracle(seed=0, max_degree=20):
+def check_wigner_delta_oracle(seed=0):
+    max_degree = 20
     tables = compute_delta(max_degree + 1)
     err = 0.0
     for l in range(max_degree + 1):
@@ -140,7 +141,8 @@ def check_wigner_delta_oracle(seed=0, max_degree=20):
     return [_row("wigner.delta.sum_formula", max_degree, err, 1e-12)]
 
 
-def check_wigner_d_oracle(seed=0, max_degree=20, beta=0.7):
+def check_wigner_d_oracle(seed=0):
+    max_degree, beta = 20, 0.7
     err = 0.0
     for l in range(max_degree + 1):
         oracle = reference.wigner_d_matrix_mp(l, beta)
@@ -148,7 +150,8 @@ def check_wigner_d_oracle(seed=0, max_degree=20, beta=0.7):
     return [_row("wigner.d.sum_formula", max_degree, err, 1e-12)]
 
 
-def check_wigner_orthogonality(seed=0, max_degree=127):
+def check_wigner_orthogonality(seed=0):
+    max_degree = 127  # the benchmarked L = 128
     tables = compute_delta(max_degree + 1)
     err_orth = 0.0
     err_sym = 0.0
@@ -206,10 +209,10 @@ def check_forward_oracle(seed=0):
     return rows
 
 
-def check_roundtrips(seed=0, band_limits=(4, 8, 16, 32, 64)):
+def check_roundtrips(seed=0):
     rng = np.random.default_rng(seed)
     rows = []
-    for L in band_limits:
+    for L in (4, 8, 16, 32, 64, 128):  # 128: the transform_single and swirl bench n = 256 size
         spins = np.array([s for s in (-2, -1, 0, 1, 2) if abs(s) < L])
         tables = compute_delta(L)
         coeffs = random_coefficients(rng, 2, spins, L)
@@ -223,12 +226,12 @@ def check_roundtrips(seed=0, band_limits=(4, 8, 16, 32, 64)):
     return rows
 
 
-def check_path_and_backend_equivalence(seed=0, inputs_per_band=25):
+def check_path_and_backend_equivalence(seed=0):
     rng = np.random.default_rng(seed)
     err_path = 0.0
     err_backend = 0.0
     # batch-1 inputs up to L=32, plus one batched input at the benchmarked L=64
-    cases = [(L, 1, (0, 1), inputs_per_band) for L in (4, 8, 16, 32)] + [(64, 4, (0, 1, 0, 1), 1)]
+    cases = [(L, 1, (0, 1), 25) for L in (4, 8, 16, 32)] + [(64, 4, (0, 1, 0, 1), 1)]
     for L, batch, spins, count in cases:
         tables = compute_delta(L)
         for _ in range(count):
@@ -321,7 +324,8 @@ def harness_residual_params(rng, band_limit, pool_to=None):
     )
 
 
-def check_layer_equivariance(seed=0, band_limit=16):
+def check_layer_equivariance(seed=0):
+    band_limit = 16
     rng = np.random.default_rng(seed)
     rotations = random_rotations(N_ROTATIONS, seed + 1)
     spins = np.repeat(SPIN_SET, CHANNELS)
@@ -417,9 +421,9 @@ _MOL_POS = np.array(
 _MOL_VOCAB = (1, 6, 8)
 
 
-def check_molecule_invariances(seed=0, n=32):
+def check_molecule_invariances(seed=0):
     rng = np.random.default_rng(seed)
-    grid = make_grid(n)
+    grid = make_grid(32)
     L = grid.band_limit
     tables = compute_delta(L)
     mol = Molecule(_MOL_Z, _MOL_POS)

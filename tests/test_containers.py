@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from swirl.containers import (
     CONVENTION,
     FORMAT_NAME,
+    FORMAT_VERSION,
     ContainerError,
     pack_blocks,
     pack_coefficients,
@@ -282,6 +286,65 @@ def test_read_container_fuzzed_header(tmp_path_factory, header, payload_bytes):
     except ContainerError:
         return
     assert sum(a.size for a in arrays) * 16 == payload_bytes
+
+
+@given(
+    st.builds(lambda blocks: {"format": FORMAT_NAME, "version": FORMAT_VERSION, "blocks": blocks}, _BLOCKS),
+    st.sampled_from([0, 16, 64]),
+)
+def test_read_container_fuzzed_versioned_header(tmp_path_factory, header, payload_bytes):
+    # As above, with the version a readable container must carry.
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.swirl"
+    _write_raw(path, header, bytes(payload_bytes))
+    try:
+        _, arrays = read_container(path)
+    except ContainerError:
+        return
+    assert sum(a.size for a in arrays) * 16 == payload_bytes
+
+
+@pytest.mark.parametrize("version", [2, "1", True, None], ids=["2", "string-1", "true", "missing"])
+def test_other_version_rejected(tmp_path, version):
+    header = {"format": FORMAT_NAME, "blocks": [{"shape": [2]}]}
+    if version is not None:
+        header["version"] = version
+    path = tmp_path / "v.swirl"
+    _write_raw(path, header, bytes(32))
+    with pytest.raises(ContainerError, match="version"):
+        read_container(path)
+
+
+def test_read_from_a_pipe(tmp_path, rng):
+    # A pipe's size is unknown until it is read; it reads like the file it carries.
+    co = random_coefficients(rng, 1, np.array([0]), 4)
+    path, fifo = tmp_path / "co.swirl", tmp_path / "fifo"
+    write_container(path, *pack_coefficients(co))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        _, arrays = read_container(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(arrays[0], co.coeffs)
+
+
+def test_read_peak_memory_is_one_payload(tmp_path):
+    # Blocks are read straight into their arrays: no whole-payload buffer, no per-block copies.
+    arrays = [np.ones((3, 1, 256, 256), dtype=complex)] * 2
+    path = tmp_path / "big.swirl"
+    write_container(path, {"blocks": [{"shape": list(a.shape)} for a in arrays]}, arrays)
+    payload = sum(a.nbytes for a in arrays)
+    del arrays
+    tracemalloc.start()
+    try:
+        _, arrays = read_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(arrays[1], 1.0)
+    assert peak <= 1.2 * payload, f"peak {peak} B for a {payload} B payload"
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from swirl import reference
 from swirl.equivariance import random_coefficients
-from swirl.grid import make_grid
+from swirl.grid import extend_samples, make_grid, weight_matrix
 from swirl.signal import SpinCoefficients, SpinSignal, degree_slice, flat_index, num_coefficients
 from swirl.transforms import (
     TransformConfig,
+    _analysis,
+    _synthesis,
     forward,
     fourier_2d,
     g_matrix,
@@ -257,6 +259,60 @@ def test_batched_layout_matches_one_at_a_time(layout):
                 assert _max_rel(G[b, c], g_matrix(one_co, tables, config)[0, 0]) < 1e-12
         back = forward(SpinSignal(inv, spins, grid), tables, config).coeffs
         assert _max_rel(back, co.coeffs) < 1e-10
+
+
+# --- colatitude maps vs the torus round trip ---------------------------------
+
+
+def _torus_inner_products(samples, spin, L, backend):
+    # The torus round trip (McEwen & Wiaux 2011): mirror to 2n rows, 2-D DFT,
+    # keep 2L-1 rows and columns, half-pixel offsets, colatitude weights.
+    n = 2 * L
+    orders = np.arange(-(L - 1), L)
+    spec = fourier_2d(extend_samples(samples, spin, n), "analysis", backend) / (2 * n * n)
+    F = spec[..., (orders % (2 * n))[:, None], orders % n] * np.exp(-1j * orders * np.pi / (2 * n))[:, None]
+    return weight_matrix(n) @ F
+
+
+def _torus_synthesis(G, L, backend):
+    # Scatter G into 2n rows with the offsets, 2-D inverse DFT, keep the sphere's n rows.
+    n = 2 * L
+    orders = np.arange(-(L - 1), L)
+    S = np.zeros(G.shape[:-2] + (2 * n, n), dtype=complex)
+    S[..., (orders % (2 * n))[:, None], orders % n] = G * np.exp(1j * orders * np.pi / (2 * n))[:, None]
+    return fourier_2d(S, "synthesis", backend)[..., :n, :] * (2 * n * n)
+
+
+@st.composite
+def _map_cases(draw):
+    L = draw(st.integers(1, 12))
+    spin = draw(st.sampled_from([L - 1, -(L - 1)]) | st.integers(-(L - 1), L - 1))
+    return L, draw(st.integers(0, 3)), spin, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_map_cases())
+def test_colatitude_maps_match_torus_round_trip(case):
+    # The longitude DFT and the matmul per parity compute the torus round
+    # trip; the reduced path's rows are the fold of I and carry the rows of
+    # G that its symmetry G_{-m',m} = (-1)^(m+s) G_{m',m} does not fix.
+    L, batch, spin, seed = case
+    rng = np.random.default_rng(seed)
+    n, c = 2 * L, L - 1
+    samples = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
+    G = rng.normal(size=(batch, 2 * L - 1, 2 * L - 1)) + 1j * rng.normal(size=(batch, 2 * L - 1, 2 * L - 1))
+    p = np.where((np.arange(-c, L) + spin) % 2 == 0, 1.0, -1.0)  # per order m
+    k = np.arange(1, L)
+    for config in ALL_CONFIGS:
+        backend, reduced = config.fourier_backend, config.symmetry_path == "reduced"
+        I = _torus_inner_products(samples, spin, L, backend)
+        want_I, want_G, rows = I, G.copy(), slice(None)
+        if reduced:
+            want_I = I[:, c:].copy()
+            want_I[:, k] += p * I[:, c - k]
+            want_G[:, c - k] = p * G[:, c + k]
+            rows = slice(c, None)
+        assert _max_rel(_analysis(samples, spin, L, backend, reduced), want_I) < 1e-12
+        assert _max_rel(_synthesis(G[:, rows], spin, L, backend, reduced), _torus_synthesis(want_G, L, backend)) < 1e-12
 
 
 # --- fourier_2d -------------------------------------------------------------
