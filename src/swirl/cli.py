@@ -185,6 +185,7 @@ def cmd_featurize(args) -> int:
     from .grid import make_grid
     from .molecules import DEFAULT_SPREAD, SYMBOL_TO_NUMBER, featurize, parse_xyz_many
     from .signal import SpinSignal
+    from .wigner import host_memory
 
     with open(args.xyz) as fh:
         molecules = parse_xyz_many(fh.read())
@@ -199,7 +200,7 @@ def cmd_featurize(args) -> int:
     spins = [0] * (len(vocabulary) * len(args.powers))
     # one complex128 sample per atom, channel and grid point, checked before the grid is built
     nbytes = 16 * sum(mol.atom_count for mol in molecules) * len(spins) * n * n
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = host_memory()
     if nbytes > memory:
         raise ValueError(f"--resolution {n} needs about {nbytes / 2**30:.1f} GiB of features, "
                          f"more than this host's {memory / 2**30:.1f} GiB of memory")
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parse(argv)
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,23 +6,27 @@ A spin-s transform on the n x n grid (n = 2L) is three linear stages:
 2. Colatitude: one matmul per parity p = (-1)^(m+s) takes the n rows theta_j
    to the rows m' of the inner products I_{m',m}, and the rows of G back:
 
-       analysis_p = R_p W (E + p E[::-1]) / (2 n^2),    synthesis_p = conj(R_p E)^T,
+       analysis_p = W (E + p E[::-1]) / (2 n^2),    synthesis_p = conj(E)^T,
 
    with E[m'', j] = e^{-i m'' theta_j} and W = grid.weight_matrix: the torus
    extension of McEwen & Wiaux (2011) in closed form, whose mirrored row of
-   theta_j sits at 2 pi - theta_j with sign p.  The symmetry path only picks
-   the rows R_p: all of them on the full path, so G is computed there without
-   imposing G_{-m',m} = p G_{m',m}; m' >= 0 on the reduced path, whose row
-   m' > 0 is row m' plus p times row -m'.
-3. Orders: one matmul per order m against the kernel
+   theta_j sits at 2 pi - theta_j with sign p.  As the kernel satisfies
+   K_s[m, l, -m'] = p K_s[m, l, m'], only the rows m' >= 0 of R_p I enter the
+   sum, where row m' > 0 of R_p x is row m' plus p times row -m'; in turn
+   G_{-m',m} = p G_{m',m}, so G is R_p^T applied to its rows m' >= 0.
+   The symmetry path is where R_p is applied: the reduced path bakes it into
+   the cached maps (analysis R_p analysis_p, synthesis synthesis_p R_p^T),
+   the full path folds I and unfolds G by slicing around the all-row maps.
+3. Orders: one matmul per order m against the kernel on the rows m' >= 0,
    K_s[m, l, m'] = alpha_l Delta^l_{m',m} Delta^l_{m',-s}, alpha_l = sqrt((2l+1)/(4pi)):
 
-       coeff(l, m) = (-1)^s i^(m+s) sum_{m'} K_s[m, l, m'] I_{m',m},
+       coeff(l, m) = (-1)^s i^(m+s) sum_{m'} K_s[m, l, m'] (R_p I)_{m',m},
        G_{-m',m} = (-1)^s i^(m+s) sum_l K_s[m, l, m'] coeff(l, m).
 
-   The kernel is read from rows of the tables: K_s[m, l, m'] = (-1)^(m+s) alpha_l
-   Delta^l_{m,m'} Delta^l_{-s,m'}, and G_{m',m} is the same sum up to (-1)^(m+s)
-   as Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}.  Orders m < 0 reuse the kernel
+   The kernel is read from the quadrant of the tables: K_s[m, l, m'] = (-1)^(m+s)
+   alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}, with Delta^l_{-s,m'} = (-1)^(l-m')
+   Delta^l_{s,m'}, and G_{m',m} is the same sum up to (-1)^(m+s) as
+   Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}.  Orders m < 0 reuse the kernel
    of -m, as Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m} exactly in the tables:
    (-1)^m' moves onto the input (forward) or output (inverse), (-1)^l the other way.
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .grid import SphericalGrid, make_grid, weight_matrix
 from .signal import SpinCoefficients, SpinSignal, degree_of_index, num_coefficients
-from .wigner import WignerTables, _I_POW
+from .wigner import WignerTables, _I_POW, _signs
 
 FOURIER_BACKENDS = ("dft_matrix", "fft")
 SYMMETRY_PATHS = ("reduced", "full")
@@ -94,11 +98,6 @@ def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.n
     return out if direction == "analysis" else out / values.shape[-1] / values.shape[-2]
 
 
-def _signs(k) -> np.ndarray:
-    # (-1)^k, elementwise
-    return np.where(np.asarray(k) % 2 == 0, 1.0, -1.0)
-
-
 def _phase_vector(L: int, spin: int) -> np.ndarray:
     # (-1)^s * i^(m+s) for m = -(L-1) .. L-1
     m = np.arange(-(L - 1), L)
@@ -112,20 +111,31 @@ def _parities(L: int, spin: int):
         yield (1 if (first - L + 1 + spin) % 2 == 0 else -1), slice(first, None, 2), orders[first::2] % (2 * L)
 
 
+def _fold(x: np.ndarray, p) -> np.ndarray:
+    """Rows m' >= 0 of R_p x, for x on the rows m' = -(L-1) .. L-1 (axis -2): row m' plus p times row -m'."""
+    c = x.shape[-2] // 2
+    out = x[..., c:, :].copy()
+    out[..., 1:, :] += p * x[..., c - 1 :: -1, :]
+    return out
+
+
+def _unfold(G: np.ndarray, spin: int) -> np.ndarray:
+    """R_p^T G: all rows m' of G from its rows m' >= 0 (axis -2), as G_{-m',m} = (-1)^(m+s) G_{m',m}."""
+    L = G.shape[-2]
+    return np.concatenate([_signs(np.arange(1 - L, L) + spin) * G[..., :0:-1, :], G], axis=-2)
+
+
 @lru_cache(maxsize=32)
-def _colatitude_maps(L: int, parity: int, reduced: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R_p (rows, 2L-1), analysis (rows, n) and synthesis (n, rows) for the orders of parity p."""
-    n, c = 2 * L, L - 1
-    R = np.eye(2 * L - 1)
+def _colatitude_maps(L: int, parity: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Analysis (rows, n) and synthesis (n, rows) for the orders of parity p; R_p is baked in when reduced."""
+    n = 2 * L
+    E = np.exp(-1j * np.outer(np.arange(-(L - 1), L), make_grid(n).colatitudes))
+    analysis = weight_matrix(n) @ (E + parity * E[::-1]) / (2 * n * n)
     if reduced:
-        R = R[c:]
-        k = np.arange(1, L)
-        R[k, c - k] = parity
-    E = np.exp(-1j * np.outer(np.arange(-c, L), make_grid(n).colatitudes))
-    analysis = R @ weight_matrix(n) @ (E + parity * E[::-1]) / (2 * n * n)
-    synthesis = np.ascontiguousarray((R @ E).conj().T)
-    R.flags.writeable = analysis.flags.writeable = synthesis.flags.writeable = False
-    return R, analysis, synthesis
+        analysis, E = _fold(analysis, parity), _fold(E, parity)
+    synthesis = np.ascontiguousarray(E.conj().T)
+    analysis.flags.writeable = synthesis.flags.writeable = False
+    return analysis, synthesis
 
 
 def _analysis(samples, spin, L, backend, reduced):
@@ -133,7 +143,7 @@ def _analysis(samples, spin, L, backend, reduced):
     spec = _dft(np.asarray(samples, dtype=complex), "analysis", backend)
     out = np.empty(spec.shape[:-2] + (L if reduced else 2 * L - 1, 2 * L - 1), dtype=complex)
     for p, cols, k in _parities(L, spin):
-        out[..., cols] = _colatitude_maps(L, p, reduced)[1] @ spec[..., k]
+        out[..., cols] = _colatitude_maps(L, p, reduced)[0] @ spec[..., k]
     return out
 
 
@@ -141,7 +151,7 @@ def _synthesis(G, spin, L, backend, reduced):
     """Samples (..., n, n) of G_{m',m} given on the path's rows m', (..., rows, 2L-1)."""
     spec = np.zeros(G.shape[:-2] + (2 * L, 2 * L), dtype=complex)
     for p, cols, k in _parities(L, spin):
-        spec[..., k] = _colatitude_maps(L, p, reduced)[2] @ G[..., cols]
+        spec[..., k] = _colatitude_maps(L, p, reduced)[1] @ G[..., cols]
     return _dft(spec, "synthesis", backend)
 
 
@@ -177,40 +187,30 @@ def _flat_orders(L: int):
     return np.abs(m), l, (m < 0).astype(int), m
 
 
-def _kernel(tables, spin, L, mu0, mu1, reduced):
-    """Orders mu0 <= m < mu1 of the kernel, shape (mu1 - mu0, L - l0, rows).
+def _kernel(tables, spin, L, mu0, mu1):
+    """Orders mu0 <= m < mu1 of the kernel on the rows m' >= 0, shape (mu1 - mu0, L - l0, L).
 
-    Entry [m, l, m'] is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'} (rows of the
-    tables, which is K_s up to the order sign (-1)^(m+s)) for degrees
-    l >= l0 = max(mu0, |s|); rows are m' >= 0 on the reduced path and all
-    m' on the full path.
+    Entry [m, l, m'] is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'} (K_s up to the
+    order sign (-1)^(m+s)) for degrees l >= l0 = max(mu0, |s|); the quadrant's
+    zeros fill the entries m > l and m' > l.
     """
-    c = L - 1
     l0 = max(mu0, abs(spin))
-    K = np.zeros((mu1 - mu0, L - l0, L if reduced else 2 * L - 1))
-    for l in range(l0, L):
-        D = tables[l]
-        first = l if reduced else 0
-        top = min(mu1, l + 1) - mu0
-        col = 0 if reduced else c - l
-        K[:top, l - l0, col : col + 2 * l + 1 - first] = (
-            np.sqrt((2 * l + 1) / (4 * np.pi)) * D[mu0 + l : mu0 + top + l, first:] * D[l - spin, first:]
-        )
-    return K
+    l = np.arange(l0, L)[:, None]
+    row = np.sqrt((2 * l + 1) / (4 * np.pi)) * (_signs(l - np.arange(L)) if spin > 0 else 1.0)
+    return tables.delta[mu0:mu1, l0:L, :L] * (row * tables.delta[abs(spin), l0:L, :L])
 
 
-def _per_order(x, spin, L, tables, reduced, adjoint):
+def _per_order(x, spin, L, tables, adjoint):
     """One matmul per order against the kernel, built in bounded chunks.
 
-    x is real, (L, rows, k) for the forward (out (L, L, k)) and (L, L, k)
-    for the adjoint (out (L, rows, k)); axis 0 is the order |m|.
+    x is real, (L, L, k) with axes (|m|, m', k) for the forward and (|m|, l, k)
+    for the adjoint; the output has the other of the two middle axes.
     """
-    rows = L if reduced else 2 * L - 1
-    out = np.zeros((L, rows if adjoint else L, x.shape[-1]))
-    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * rows))
+    out = np.zeros((L, L, x.shape[-1]))
+    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
     for mu0 in range(0, L, step):
         mu1 = min(mu0 + step, L)
-        K = _kernel(tables, spin, L, mu0, mu1, reduced)
+        K = _kernel(tables, spin, L, mu0, mu1)
         l0 = L - K.shape[1]
         if adjoint:
             out[mu0:mu1] = np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:])
@@ -221,17 +221,17 @@ def _per_order(x, spin, L, tables, reduced, adjoint):
 
 def _forward_block(samples, spin, L, tables, config):
     c = L - 1
-    reduced = config.symmetry_path == "reduced"
-    I = _analysis(samples, spin, L, config.fourier_backend, reduced)
-    lead, rows = I.shape[:-2], I.shape[-2]
+    I = _analysis(samples, spin, L, config.fourier_backend, config.symmetry_path == "reduced")
+    if config.symmetry_path == "full":
+        I = _fold(I, _signs(np.arange(-c, L) + spin))
+    lead = I.shape[:-2]
     B = int(np.prod(lead))
-    I = I.reshape((B, rows, 2 * L - 1))
-    row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
+    I = I.reshape((B, L, 2 * L - 1))
     # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
-    x = np.empty((L, rows, 2, B), dtype=complex)
+    x = np.empty((L, L, 2, B), dtype=complex)
     x[:, :, 0] = I[:, :, c:].transpose(2, 1, 0)
-    x[:, :, 1] = row_signs * I[:, :, c::-1].transpose(2, 1, 0)
-    y = _per_order(x.view(float).reshape(L, rows, 4 * B), spin, L, tables, reduced, adjoint=False)
+    x[:, :, 1] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
+    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=False)
     y = y.view(complex).reshape(L, L, 2, B)
     mu, l, half, m = _flat_orders(L)
     phases = _phase_vector(L, spin)[m + c] * _signs(m + spin) * np.where(half, _signs(l), 1.0)
@@ -241,23 +241,21 @@ def _forward_block(samples, spin, L, tables, config):
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The synthesis G matrix, shape (batch, channels, 2L-1, 2L-1).
 
-    Satisfies G_{m',m} = (-1)^(m+s) G_{-m',m}; the reduced path computes
-    only m' >= 0 and unfolds the negative rows with R_p^T.
+    Satisfies G_{m',m} = (-1)^(m+s) G_{-m',m} exactly: the rows m' >= 0 are
+    computed and unfolded, the same on both paths (config is accepted for
+    symmetry with forward and inverse).
     """
     L = coeffs.band_limit
     _check_tables(L, tables)
-    reduced = config.symmetry_path == "reduced"
     out = np.zeros(coeffs.coeffs.shape[:2] + (2 * L - 1, 2 * L - 1), dtype=complex)
     for spin in np.unique(coeffs.spins):
         sel = coeffs.spins == spin
-        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables, reduced)
-        for p, cols, _ in _parities(L, int(spin)):
-            out[:, sel, :, cols] = _colatitude_maps(L, p, reduced)[0].T @ G[..., cols]
+        out[:, sel] = _unfold(_g_rows(coeffs.coeffs[:, sel], int(spin), L, tables), int(spin))
     return out
 
 
-def _g_rows(flat, spin, L, tables, reduced):
-    """G_{m',m} on the path's rows m', shape flat.shape[:-1] + (rows, 2L-1)."""
+def _g_rows(flat, spin, L, tables):
+    """G_{m',m} on the rows m' >= 0, shape flat.shape[:-1] + (L, 2L-1)."""
     c = L - 1
     lead = flat.shape[:-1]
     B = int(np.prod(lead))
@@ -265,14 +263,12 @@ def _g_rows(flat, spin, L, tables, reduced):
     phases = _phase_vector(L, spin)[m + c] * np.where(half, _signs(l), 1.0)
     x = np.zeros((L, L, 2, B), dtype=complex)
     x[mu, l, half] = (flat.reshape(B, L * L) * phases).T
-    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, reduced, adjoint=True)
-    rows = y.shape[1]
-    y = y.view(complex).reshape(L, rows, 2, B)
-    row_signs = _signs(np.arange(rows) - (0 if reduced else c))[:, None]  # (-1)^m'
-    G = np.empty((B, rows, 2 * L - 1), dtype=complex)
+    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=True)
+    y = y.view(complex).reshape(L, L, 2, B)
+    G = np.empty((B, L, 2 * L - 1), dtype=complex)
     G[:, :, c:] = y[:, :, 0].transpose(2, 1, 0)
-    G[:, :, :c] = (row_signs * y[:0:-1, :, 1]).transpose(2, 1, 0)
-    return G.reshape(lead + (rows, 2 * L - 1))
+    G[:, :, :c] = (_signs(np.arange(L))[:, None] * y[:0:-1, :, 1]).transpose(2, 1, 0)  # (-1)^m'
+    return G.reshape(lead + (L, 2 * L - 1))
 
 
 def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:
@@ -284,6 +280,6 @@ def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformCon
     reduced = config.symmetry_path == "reduced"
     for spin in np.unique(coeffs.spins):
         sel = coeffs.spins == spin
-        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables, reduced)
-        out[:, sel] = _synthesis(G, int(spin), L, config.fourier_backend, reduced)
+        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables)
+        out[:, sel] = _synthesis(G if reduced else _unfold(G, int(spin)), int(spin), L, config.fourier_backend, reduced)
     return SpinSignal(out, coeffs.spins.copy(), grid)

@@ -1,10 +1,11 @@
 """Wigner d and D matrices.
 
 The transform core only needs the d matrices at beta = pi/2 (the Delta
-tables).  They are built by a three-term recursion over degree with
-closed-form border rows, then completed by the exact index symmetries so
-that every symmetry relation holds bitwise in the stored tables.
-Generic-angle d matrices come from the Fourier-series identity
+tables).  They are stored as one quadrant per degree, Delta^l_{m,m'} for
+0 <= m, m' <= l, built by a three-term recursion over degree with
+closed-form border rows.  Full tables unfold from the quadrant by the
+index symmetries, so every symmetry relation holds bitwise in what callers
+read.  Generic-angle d matrices come from the Fourier-series identity
 
     d^l_{a,b}(beta) = i^(a-b) * sum_c Delta^l_{c,a} e^{-i c beta} Delta^l_{c,b}
 
@@ -19,6 +20,7 @@ same product applied to the identity.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,79 +30,71 @@ from scipy.special import gammaln
 MAX_BAND_LIMIT = 2048
 
 
+def host_memory() -> int:
+    """Bytes of physical memory, the bound that table and feature footprints are checked against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _signs(k) -> np.ndarray:
+    # (-1)^k, elementwise
+    return np.where(np.asarray(k) % 2 == 0, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class WignerTables:
-    """Delta matrices d^l(pi/2) for all degrees l < band_limit."""
+    """Delta matrices d^l(pi/2) for all degrees l < band_limit.
+
+    delta[m, l, m'] = Delta^l_{m,m'} for 0 <= m, m' <= l and zero elsewhere,
+    one read-only (L, L, L) array; tables[l] is the full (2l+1) x (2l+1) table
+    of degree l, indexed [l + m, l + m'].
+    """
 
     band_limit: int
-    delta: tuple
+    delta: np.ndarray
 
     def __getitem__(self, degree: int) -> np.ndarray:
-        return self.delta[degree]
-
-
-def _border_row(l: int) -> np.ndarray:
-    # d^l_{l,b}(pi/2) = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!))
-    b = np.arange(-l, l + 1)
-    logmag = -l * np.log(2.0) + 0.5 * (gammaln(2 * l + 1) - gammaln(l + b + 1) - gammaln(l - b + 1))
-    sign = np.where((l - b) % 2 == 0, 1.0, -1.0)
-    return sign * np.exp(logmag)
-
-
-def _fill_symmetries(D: np.ndarray, l: int) -> np.ndarray:
-    # Overwrite everything outside the wedge i >= |j| from wedge entries,
-    # making d_{-i,j} = (-1)^(l-j) d_{i,j} and d_{i,j} = (-1)^(i-j) d_{j,i}
-    # exact in the stored table.
-    idx = np.arange(-l, l + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    sign_flip = np.where((l - jj) % 2 == 0, 1.0, -1.0)
-    mask_neg = (ii < 0) & (np.abs(ii) >= np.abs(jj))
-    D = np.where(mask_neg, sign_flip * D[::-1, :], D)
-    sign_t = np.where((ii - jj) % 2 == 0, 1.0, -1.0)
-    mask_t = np.abs(jj) > np.abs(ii)
-    D = np.where(mask_t, sign_t * D.T, D)
-    return D
-
-
-def _next_delta(l: int, prev: np.ndarray, prev2: np.ndarray) -> np.ndarray:
-    # Three-term recursion in degree, specialized to beta = pi/2:
-    # (l-1) sqrt((l^2-i^2)(l^2-j^2)) d^l = -(2l-1) i j d^(l-1)
-    #                                      - l sqrt(((l-1)^2-i^2)((l-1)^2-j^2)) d^(l-2)
-    size = 2 * l + 1
-    D = np.zeros((size, size))
-    i = np.arange(-(l - 1), l)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    denom = (l - 1) * np.sqrt((l * l - ii**2) * (l * l - jj**2)).astype(float)
-    p2 = np.zeros_like(prev)
-    if prev2.shape[0] > 0:
-        p2[1:-1, 1:-1] = prev2
-    t1 = -(2 * l - 1) * ii * jj * prev
-    t2 = -l * np.sqrt(((l - 1) ** 2 - ii**2).clip(min=0) * ((l - 1) ** 2 - jj**2).clip(min=0)) * p2
-    D[1:-1, 1:-1] = (t1 + t2) / denom
-    D[2 * l, :] = _border_row(l)
-    return _fill_symmetries(D, l)
+        # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}
+        k = np.arange(degree + 1)
+        q = self.delta[: degree + 1, degree, : degree + 1]
+        top = np.concatenate([_signs(degree + k)[:, None] * q[:, :0:-1], q], axis=1)
+        return np.concatenate([_signs(degree - np.arange(-degree, degree + 1)) * top[:0:-1], top])
 
 
 @lru_cache(maxsize=8)
 def compute_delta(band_limit: int) -> WignerTables:
-    """Delta tables for all degrees below band_limit (cached per band limit)."""
-    if band_limit < 1:
-        raise ValueError(f"band limit must be >= 1, got {band_limit}")
-    if band_limit > MAX_BAND_LIMIT:
-        raise ValueError(
-            f"band limit {band_limit} exceeds the supported maximum {MAX_BAND_LIMIT} "
-            "for the double-precision recursion"
-        )
-    deltas = [np.array([[1.0]])]
-    if band_limit > 1:
-        d1 = np.zeros((3, 3))
-        d1[2, :] = _border_row(1)
-        deltas.append(_fill_symmetries(d1, 1))
-    for l in range(2, band_limit):
-        deltas.append(_next_delta(l, deltas[l - 1], deltas[l - 2]))
-    for d in deltas:
-        d.flags.writeable = False
-    return WignerTables(band_limit=band_limit, delta=tuple(deltas))
+    """Delta tables for all degrees below band_limit (cached per band limit).
+
+    The quadrant of degree l is its closed-form border row m = l and column
+    m' = l around entries that a three-term recursion takes from degrees l-1
+    and l-2.  The 8 L^3 bytes are checked against host memory before they are
+    allocated.
+    """
+    L = band_limit
+    if L < 1:
+        raise ValueError(f"band limit must be >= 1, got {L}")
+    if L > MAX_BAND_LIMIT:
+        raise ValueError(f"band limit {L} exceeds the supported maximum {MAX_BAND_LIMIT} "
+                         "for the double-precision recursion")
+    if 8 * L**3 > (memory := host_memory()):
+        raise MemoryError(f"Delta tables for band limit {L} need {8 * L**3 / 2**30:.1f} GiB, "
+                          f"more than this host's {memory / 2**30:.1f} GiB of memory")
+    delta = np.zeros((L, L, L))
+    l, b = np.arange(L)[:, None], np.arange(L)
+    logmag = -l * np.log(2.0) + 0.5 * (gammaln(2 * l + 1) - gammaln(l + b + 1) - gammaln(abs(l - b) + 1))
+    # border[l, b] = Delta^l_{l,b} = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!)) for b <= l
+    border = np.where(b <= l, _signs(l - b) * np.exp(logmag), 0.0)
+    delta[b, b, :] = border  # row m = l
+    delta[:, b, b] = border.T * _signs(l - b)  # column m' = l: Delta^l_{i,l} = (-1)^(i-l) Delta^l_{l,i}
+    # (l-1) sqrt((l^2-i^2)(l^2-j^2)) d^l = -(2l-1) i j d^(l-1) - l sqrt(((l-1)^2-i^2)((l-1)^2-j^2)) d^(l-2)
+    for l in range(2, L):
+        i = np.arange(l)
+        ii, jj = i[:, None], i[None, :]
+        denom = (l - 1) * np.sqrt((l * l - ii**2) * (l * l - jj**2)).astype(float)
+        t1 = -(2 * l - 1) * ii * jj * delta[:l, l - 1, :l]
+        t2 = -l * np.sqrt(((l - 1) ** 2 - ii**2) * ((l - 1) ** 2 - jj**2)) * delta[:l, l - 2, :l]
+        delta[:l, l, :l] = (t1 + t2) / denom
+    delta.flags.writeable = False
+    return WignerTables(band_limit=L, delta=delta)
 
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])

@@ -102,6 +102,17 @@ def test_transform_missing_file(tmp_path):
     assert main(["transform", str(tmp_path / "nope.swirl"), "forward", "--output", str(tmp_path / "x")]) == 1
 
 
+def test_transform_tables_beyond_memory(tmp_path, capsys, rng, monkeypatch):
+    from swirl import wigner
+
+    src = tmp_path / "spec.swirl"
+    write_container(src, *pack_coefficients(random_coefficients(rng, 1, np.array([0]), 5)))
+    compute_delta.cache_clear()
+    monkeypatch.setattr(wigner, "host_memory", lambda: 999)
+    assert main(["transform", str(src), "inverse", "--output", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: Delta tables for band limit 5 need 0.0 GiB")
+
+
 def test_featurize_water(tmp_path, water_xyz):
     xyz = tmp_path / "water.xyz"
     xyz.write_text(water_xyz)

@@ -19,7 +19,7 @@ from swirl.layers import (
     spectral_unpool,
     spectral_variance,
 )
-from swirl.signal import SpinCoefficients, degree_of_index, num_coefficients
+from swirl.signal import SpinCoefficients, num_coefficients
 from swirl.transforms import forward, inverse
 from swirl.wigner import compute_delta
 
@@ -146,21 +146,6 @@ def test_random_draws_one_block_per_spin_pair(spin_diagonal, per_degree):
             np.testing.assert_array_equal(_block(bank, i, o), want[(si, so)])
 
 
-def _per_pair_conv(coeffs, bank):
-    # Reference: the per-spin-pair sum, gathering each pair's taps onto the
-    # flat (l, m) axis.
-    deg = degree_of_index(coeffs.band_limit)
-    cin, cout = bank.channels_in, bank.channels_out
-    out = np.zeros((coeffs.batch, len(bank.spins_out) * cout, coeffs.coeffs.shape[-1]), dtype=complex)
-    for i, si in enumerate(bank.spins_in):
-        x = coeffs.coeffs[:, i * cin : (i + 1) * cin]
-        for o, so in enumerate(bank.spins_out):
-            taps = _block(bank, i, o)
-            assert not taps[..., : max(abs(si), abs(so))].any()
-            out[:, o * cout : (o + 1) * cout] += np.einsum("bix,iox->box", x, taps[..., deg])
-    return out
-
-
 @st.composite
 def _conv_layouts(draw):
     L = draw(st.integers(2, 12))
@@ -188,7 +173,10 @@ def test_dense_conv_matches_per_pair_sums(layout):
                              spin_diagonal=spin_diagonal, per_degree=per_degree)
     co = random_coefficients(rng, batch, np.repeat(spins_in, cin), L)
     out = spectral_conv(co, bank)
-    want = _per_pair_conv(co, bank)
+    want = reference.spectral_conv_per_pair(co.coeffs, bank.weights, bank.spins_in, bank.spins_out)
+    for i, si in enumerate(bank.spins_in):
+        for o, so in enumerate(bank.spins_out):
+            assert not _block(bank, i, o)[..., : max(abs(si), abs(so))].any()
     np.testing.assert_array_equal(out.spins, np.repeat(spins_out, cout))
     assert out.coeffs.shape == want.shape
     if want.size:

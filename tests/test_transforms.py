@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swirl import reference
+from swirl import reference, transforms
 from swirl.equivariance import random_coefficients
 from swirl.grid import extend_samples, make_grid, weight_matrix
 from swirl.signal import SpinCoefficients, SpinSignal, degree_slice, flat_index, num_coefficients
@@ -198,14 +200,16 @@ def _max_rel(a, b):
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS)
-def test_matches_per_degree_sums(rng, config):
+def test_matches_per_degree_sums(rng, monkeypatch, config):
     # The per-order matmuls reproduce the defining per-degree sums over the
-    # Delta tables, for the forward coefficients and for G.
+    # Delta tables, for the forward coefficients and for G, with the kernel
+    # built in chunks of one, two, three or all orders.
     L = 9
     c = L - 1
     tables = compute_delta(L)
     grid = make_grid(2 * L)
-    for spin in (-3, 0, 2):
+    for spin, orders in itertools.product((-(L - 1), -3, 0, 2, L - 1), (1, 2, 3, L)):
+        monkeypatch.setattr(transforms, "_KERNEL_CHUNK_BYTES", orders * 8 * L * L)
         co = random_coefficients(rng, 2, np.array([spin, spin]), L)
         samples = rng.normal(size=(2, 2, 2 * L, 2 * L)) + 1j * rng.normal(size=(2, 2, 2 * L, 2 * L))
         I = inner_products(samples, spin, grid, config.fourier_backend)

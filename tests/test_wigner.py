@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from swirl import reference
+from swirl import reference, wigner
+from swirl.bench import BenchSpec, run_bench
 from swirl.wigner import MAX_BAND_LIMIT, Rotation, compute_delta, random_rotations, wigner_D, wigner_d
 
 
@@ -45,8 +46,10 @@ def test_delta_orthogonality_and_symmetry():
         assert np.abs(d @ d.T - np.eye(2 * l + 1)).max() < 1e-12
         m = np.arange(-l, l + 1)
         signs = np.where((m[:, None] - m[None, :]) % 2 == 0, 1.0, -1.0)
-        # the symmetry fill makes the sign pattern exact in the stored table
+        # the tables unfold from one quadrant, so every sign symmetry is exact
         np.testing.assert_array_equal(d, signs * d.T)
+        np.testing.assert_array_equal(d[::-1], np.where((l - m) % 2 == 0, 1.0, -1.0) * d)
+        np.testing.assert_array_equal(d[:, ::-1], np.where((l + m) % 2 == 0, 1.0, -1.0)[:, None] * d)
 
 
 def test_compute_delta_rejects_out_of_range():
@@ -54,6 +57,27 @@ def test_compute_delta_rejects_out_of_range():
         compute_delta(0)
     with pytest.raises(ValueError):
         compute_delta(MAX_BAND_LIMIT + 1)
+
+
+def test_delta_is_one_quadrant_array():
+    L = 6
+    tables = compute_delta(L)
+    assert tables.delta.shape == (L, L, L) and tables.delta.nbytes == 8 * L**3
+    for l in range(L):
+        np.testing.assert_array_equal(tables.delta[: l + 1, l, : l + 1], tables[l][l:, l:])
+        assert not tables.delta[l + 1 :, l].any() and not tables.delta[:, l, l + 1 :].any()
+
+
+def test_compute_delta_checks_footprint_before_allocating(monkeypatch):
+    # 8 L^3 bytes against host memory: an unaffordable band limit is a
+    # MemoryError naming both sizes, which swirl bench reports as oom.
+    compute_delta.cache_clear()
+    monkeypatch.setattr(wigner, "host_memory", lambda: 2**21)
+    with pytest.raises(MemoryError, match=r"band limit 65 need \d+\.\d GiB, more than this host's \d+\.\d GiB"):
+        compute_delta(65)
+    rows = run_bench(BenchSpec(resolutions=(130,), repetitions=3, warmup=0, seed=0))
+    assert [row.status for row in rows] == ["oom"] * 4
+    assert compute_delta(64).delta.nbytes == 2**21  # exactly fits
 
 
 def test_compute_delta_cached():
