@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -179,7 +180,16 @@ def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
 # --- layer parameters -------------------------------------------------------
 #
 # Layer parameters reuse the same container: real-valued parameters are
-# stored as complex128 with zero imaginary part.
+# stored as complex128 with zero imaginary part.  The readers check the file; the layer types, the values.
+
+
+@contextmanager
+def _layer_values(kind: str):
+    """Re-raise a layer type's ValueError on values read from a file as a ContainerError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ContainerError(f"{kind}: {exc}") from None
 
 
 def pack_filter_bank(bank) -> tuple[dict, list]:
@@ -214,8 +224,8 @@ def unpack_filter_bank(header: dict, arrays):
     spins_in, spins_out = header.get("spins_in"), header.get("spins_out")
     for spins in (spins_in, spins_out):
         ints = isinstance(spins, list) and all(type(s) is int for s in spins)
-        if not ints or not spins or len(set(spins)) < len(spins):
-            raise ContainerError(f"filter-bank spins must be a non-empty list of distinct integers, got {spins!r}")
+        if not ints:
+            raise ContainerError(f"filter-bank spins must be a list of integers, got {spins!r}")
     pairs = [(block.get("spin_in"), block.get("spin_out")) for block in header.get("blocks", [])]
     expected = sorted(itertools.product(spins_in, spins_out))
     if any(type(s) is not int for pair in pairs for s in pair) or sorted(pairs) != expected:
@@ -223,8 +233,9 @@ def unpack_filter_bank(header: dict, arrays):
     if any(arr.ndim != 3 or arr.shape != arrays[0].shape or arr.shape[-1] != L for arr in arrays):
         raise ContainerError(f"filter-bank blocks must share one (C_in, C_out, {L}) shape")
     blocks = dict(zip(pairs, arrays))
-    weights = np.concatenate([np.concatenate([blocks[si, so] for so in spins_out], axis=1) for si in spins_in])
-    return FilterBank(weights, spins_in, spins_out)
+    with _layer_values("filter-bank"):
+        weights = np.concatenate([np.concatenate([blocks[si, so] for so in spins_out], axis=1) for si in spins_in])
+        return FilterBank(weights, spins_in, spins_out)
 
 
 def _pack_roles(kind: str, by_role: dict, **fields) -> tuple[dict, list]:
@@ -260,13 +271,11 @@ def unpack_batch_norm(header: dict, arrays):
 
     by_role = _read_roles(header, arrays, "batch-norm", ("scale", "bias"), ("running_variance",),
                           real=("scale", "running_variance"))
-    shapes = {role: arr.shape for role, arr in by_role.items()}
-    if by_role["scale"].ndim != 1 or len(set(shapes.values())) > 1:
-        raise ContainerError(f"batch-norm blocks must share one (channels,) shape, got {shapes}")
     numbers = [header.get("momentum"), header.get("epsilon")]
     if any(type(x) not in (int, float) for x in numbers):
         raise ContainerError(f"batch-norm momentum and epsilon must be numbers, got {numbers}")
-    return BatchNormState(by_role["scale"], by_role["bias"], by_role.get("running_variance"), *map(float, numbers))
+    with _layer_values("batch-norm"):
+        return BatchNormState(by_role["scale"], by_role["bias"], by_role.get("running_variance"), *map(float, numbers))
 
 
 def pack_phase_collapse(params) -> tuple[dict, list]:
@@ -277,8 +286,5 @@ def unpack_phase_collapse(header: dict, arrays):
     from .layers import PhaseCollapseParams
 
     by_role = _read_roles(header, arrays, "phase-collapse", ("w1", "w2", "bias"), real=("w2",))
-    w1, w2, bias = by_role["w1"], by_role["w2"], by_role["bias"]
-    if bias.ndim != 1 or w1.shape != bias.shape * 2 or w2.ndim != 2 or w2.shape[0] != bias.shape[0]:
-        raise ContainerError(f"phase-collapse shapes w1 {w1.shape}, w2 {w2.shape}, bias {bias.shape} "
-                             "are not (C0, C0), (C0, C), (C0,)")
-    return PhaseCollapseParams(w1, w2, bias)
+    with _layer_values("phase-collapse"):
+        return PhaseCollapseParams(by_role["w1"], by_role["w2"], by_role["bias"])

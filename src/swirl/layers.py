@@ -120,11 +120,25 @@ def spectral_conv(coeffs: SpinCoefficients, bank: FilterBank) -> SpinCoefficient
 
 @dataclass(frozen=True)
 class PhaseCollapseParams:
-    """Parameters of the phase collapse activation x0 <- W1 x0 + W2 |x| + b."""
+    """Parameters of the phase collapse activation x0 <- W1 x0 + W2 |x| + b.
+
+    W1 (C0, C0) and b (C0,) are complex; W2 (C0, C) multiplies moduli and
+    must be real.
+    """
 
     w1: np.ndarray
     w2: np.ndarray
     bias: np.ndarray
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.w2):
+            raise ValueError("w2 multiplies moduli and must be real-valued")
+        w1, w2 = np.asarray(self.w1, dtype=complex), np.asarray(self.w2, dtype=float)
+        bias = np.asarray(self.bias, dtype=complex)
+        if bias.ndim != 1 or w1.shape != bias.shape * 2 or w2.ndim != 2 or w2.shape[0] != bias.shape[0]:
+            raise ValueError(f"shapes w1 {w1.shape}, w2 {w2.shape}, bias {bias.shape} are not (C0, C0), (C0, C), (C0,)")
+        for name, value in (("w1", w1), ("w2", w2), ("bias", bias)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, spin_zero_channels: int, total_channels: int) -> "PhaseCollapseParams":
@@ -143,39 +157,21 @@ class PhaseCollapseParams:
         return cls(w1, w2, bias)
 
 
-def phase_collapse(signal: SpinSignal, w1: np.ndarray, w2: np.ndarray, bias: np.ndarray) -> SpinSignal:
+def phase_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSignal:
     """Replace the spin-0 channel stack by W1 x0 + W2 |x| + b at every sample.
 
     Nonzero-spin channels pass through unchanged; the modulus |x| is taken
     over all channels (all spins, including zero), which discards the
     rotation-induced phases of the nonzero-spin features.
     """
-    w1 = np.asarray(w1, dtype=complex)
-    w2 = np.asarray(w2)
-    bias = np.asarray(bias, dtype=complex)
-    if np.iscomplexobj(w2):
-        raise ValueError("w2 multiplies moduli and must be real-valued")
     zero = signal.spins == 0
-    c0 = int(zero.sum())
-    ct = signal.channels
-    if w1.shape != (c0, c0) or w2.shape != (c0, ct) or bias.shape != (c0,):
-        raise ValueError(
-            f"parameter shapes {w1.shape}, {w2.shape}, {bias.shape} do not match "
-            f"(C0={c0}, C={ct}) signal layout"
-        )
-    out = signal.samples.copy()
-    x0 = signal.samples[:, zero]
-    mod = np.abs(signal.samples)
-    out[:, zero] = (
-        np.einsum("ij,bjxy->bixy", w1, x0)
-        + np.einsum("ij,bjxy->bixy", w2, mod)
-        + bias[None, :, None, None]
-    )
-    return SpinSignal(out, signal.spins.copy(), signal.grid)
-
-
-def apply_phase_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSignal:
-    return phase_collapse(signal, params.w1, params.w2, params.bias)
+    if params.w2.shape != (zero.sum(), signal.channels):
+        raise ValueError(f"phase-collapse w2 of shape {params.w2.shape} does not fit the signal's "
+                         f"{zero.sum()} spin-0 channels of {signal.channels}")
+    x = signal.samples.reshape(signal.batch, signal.channels, -1)
+    out = x.copy()
+    out[:, zero] = params.w1 @ x[:, zero] + params.w2 @ np.abs(x) + params.bias[:, None]
+    return SpinSignal(out.reshape(signal.samples.shape), signal.spins.copy(), signal.grid)
 
 
 @dataclass(frozen=True)
@@ -189,6 +185,9 @@ class BatchNormState:
     epsilon: float = 1e-5
 
     def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.scale, self.bias, self.running_variance) if a is not None]
+        if len(shapes[0]) != 1 or len(set(shapes)) > 1:
+            raise ValueError(f"scale, bias and running variance must share one (channels,) shape, got {shapes}")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError(f"momentum must be in (0, 1), got {self.momentum}")
         if self.epsilon <= 0.0:
@@ -212,13 +211,12 @@ def spectral_variance(coeffs: SpinCoefficients) -> np.ndarray:
 
     Equals the spatial variance of the synthesized function by Parseval:
     the (0,0) coefficient is the mean slot and the remaining energy,
-    normalized by 4*pi, is the variance.
+    normalized by 4*pi, is the variance.  The mean slot is zeroed, not
+    subtracted, so a large mean cannot cancel a small variance away.
     """
     energy = np.abs(coeffs.coeffs) ** 2
-    zero = coeffs.spins == 0
-    total = energy.sum(axis=-1)
-    total[:, zero] -= energy[:, zero, 0]
-    return total / (4 * np.pi)
+    energy[:, coeffs.spins == 0, 0] = 0.0
+    return energy.sum(axis=-1) / (4 * np.pi)
 
 
 def spectral_batch_norm(
@@ -234,16 +232,12 @@ def spectral_batch_norm(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    channels = coeffs.channels
-    if state.scale.shape != (channels,) or state.bias.shape != (channels,):
-        raise ValueError(f"state is sized for {state.scale.shape[0]} channels, coefficients have {channels}")
-    work = coeffs.coeffs.copy()
-    zero = coeffs.spins == 0
-    work[:, zero, 0] = 0.0
+    if state.scale.shape != (coeffs.channels,):
+        raise ValueError(f"state is sized for {state.scale.shape[0]} channels, coefficients have {coeffs.channels}")
     if mode == "train":
         if coeffs.batch < 1:
             raise ValueError("train mode requires batch >= 1")
-        var = (np.abs(work) ** 2).sum(axis=-1).mean(axis=0) / (4 * np.pi)
+        var = spectral_variance(coeffs).mean(axis=0)
         if state.running_variance is None:
             running = var
         else:
@@ -254,7 +248,8 @@ def spectral_batch_norm(
             raise ValueError("eval mode requires initialized running statistics")
         var = state.running_variance
         new_state = state
-    work *= (state.scale / np.sqrt(var + state.epsilon))[None, :, None]
+    work = coeffs.coeffs * (state.scale / np.sqrt(var + state.epsilon))[:, None]
+    zero = coeffs.spins == 0
     work[:, zero, 0] = state.bias[zero]
     return SpinCoefficients(work, coeffs.spins.copy(), coeffs.band_limit), new_state
 
@@ -342,7 +337,7 @@ def _residual_impl(x, params, config, mode):
 
     h = spectral_conv(pooled, params.bank1)
     h, bn1 = spectral_batch_norm(h, params.bn1, mode)
-    mid = apply_phase_collapse(inverse(h, tables, config), params.collapse1)
+    mid = phase_collapse(inverse(h, tables, config), params.collapse1)
 
     h = forward(mid, tables, config)
     h = spectral_conv(h, params.bank2)
@@ -353,7 +348,7 @@ def _residual_impl(x, params, config, mode):
         raise ValueError("skip path signature does not match main path output")
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)
 
-    out = apply_phase_collapse(inverse(total, tables, config), params.collapse2)
+    out = phase_collapse(inverse(total, tables, config), params.collapse2)
     if not is_signal:
         out = forward(out, tables, config)
     return out, replace(params, bn1=bn1, bn2=bn2)

@@ -182,31 +182,26 @@ def featurize(
         names = ", ".join(NUMBER_TO_SYMBOL.get(z, str(z)) for z in sorted(unknown))
         raise ValueError(f"atom types not in vocabulary: {names}")
 
-    n_atoms = mol.atom_count
     Z, P = len(vocabulary), len(powers)
-    dirs = grid.unit_vectors()
-    values = np.zeros((n_atoms, P * Z, grid.n, grid.n))
-    for i in range(n_atoms):
-        zi = int(mol.atomic_numbers[i])
-        # Accumulate same-type contributions in a canonical order (sorted by
+    dirs = grid.unit_vectors().reshape(-1, 3)
+    types = mol.atomic_numbers
+    columns = np.array([z_index[int(z)] for z in types])
+    values = np.empty((mol.atom_count, P * Z, grid.n * grid.n))
+    for i, zi in enumerate(types):
+        others = np.delete(np.arange(mol.atom_count), i)
+        r = mol.positions[others] - mol.positions[i]
+        # Sum the other atoms in a canonical order (by type, then by
         # displacement) so the result is bitwise invariant under permutations
         # of same-type atoms.
-        by_type: dict = {}
-        for j in range(n_atoms):
-            if j == i:
-                continue
-            r = mol.positions[j] - mol.positions[i]
-            by_type.setdefault(int(mol.atomic_numbers[j]), []).append(r)
-        for zj, displacements in by_type.items():
-            displacements.sort(key=tuple)
-            for r in displacements:
-                dist = np.linalg.norm(r)
-                angle = np.arccos(np.clip(dirs @ (r / dist), -1.0, 1.0))
-                kernel = np.exp(-(angle**2) / (2.0 * sigma**2))
-                for pi, p in enumerate(powers):
-                    channel = pi * Z + z_index[zj]
-                    values[i, channel] += zi * zj / dist**p * kernel
-    return MoleculeFeatures(values, vocabulary, powers, sigma, grid)
+        order = np.lexsort((r[:, 2], r[:, 1], r[:, 0], types[others]))
+        others, r = others[order], r[order]
+        dist = np.linalg.norm(r, axis=1)
+        angle = np.arccos(np.clip(r / dist[:, None] @ dirs.T, -1.0, 1.0))
+        kernel = np.exp(-(angle**2) / (2.0 * sigma**2))  # (atoms - 1, n^2)
+        weights = np.zeros((len(others), P, Z))
+        weights[np.arange(len(others)), :, columns[others]] = (zi * types[others])[:, None] / dist[:, None] ** powers
+        values[i] = weights.reshape(-1, P * Z).T @ kernel
+    return MoleculeFeatures(values.reshape(-1, P * Z, grid.n, grid.n), vocabulary, powers, sigma, grid)
 
 
 def pooled_descriptor(features: MoleculeFeatures) -> np.ndarray:

@@ -28,7 +28,7 @@ from .layers import (
     FilterBank,
     PhaseCollapseParams,
     ResidualBlockParams,
-    apply_phase_collapse,
+    phase_collapse,
     residual_block,
     residual_block_train,
     spectral_batch_norm,
@@ -350,7 +350,7 @@ def check_layer_equivariance(seed=0):
 
     sig = smooth_harness_signal(rng, band_limit, SPIN_SET, CHANNELS)
     pc = PhaseCollapseParams.random(rng, CHANNELS, len(spins))
-    rep = equivariance_error(lambda s: apply_phase_collapse(s, pc), sig, rotations, "phase_collapse", seed)
+    rep = equivariance_error(lambda s: phase_collapse(s, pc), sig, rotations, "phase_collapse", seed)
     rows.append(_row("layers.equivariance.phase_collapse", band_limit, rep.max_rel_err, 1e-6))
 
     state = BatchNormState.initialize(len(spins))
@@ -391,7 +391,6 @@ def check_batch_norm_semantics(seed=0):
     state = BatchNormState.initialize(len(spins))
     out, _ = spectral_batch_norm(coeffs, state, "train")
     var = spectral_variance(out).mean(axis=0)
-    zero = spins == 0
     var_err = np.abs(var - 1.0).max()
     rows = [_row("layers.batch_norm.unit_variance", L, var_err, 1e-2)]
     # Parseval: spectral variance of a sample equals its spatial variance.
@@ -494,17 +493,14 @@ CHECKS = (
 
 
 def run_verification(name_filter: str | None = None, seed: int = 0) -> list[CheckRow]:
-    groups = {group for group, _ in CHECKS}
-    group_level = name_filter is not None and any(
-        name_filter in group or name_filter.startswith(group) for group in groups
-    )
+    # Every row whose name contains the filter.  Row names start with their group and name no other
+    # group, so a filter that starts with a group name ("wigner", "wigner.d") runs that group only.
+    head = (name_filter or "").split(".")[0]
+    only = head if head in {group for group, _ in CHECKS} else None
     rows = []
     for group, check in CHECKS:
-        if group_level and not (name_filter in group or name_filter.startswith(group)):
-            continue
-        for row in check(seed=seed):
-            if name_filter is None or name_filter in row.name:
-                rows.append(row)
+        if only in (None, group):
+            rows += [row for row in check(seed=seed) if name_filter is None or name_filter in row.name]
     return rows
 
 

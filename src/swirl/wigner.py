@@ -62,7 +62,12 @@ class WignerTables:
 
 @lru_cache(maxsize=8)
 def compute_delta(band_limit: int) -> WignerTables:
-    """Delta tables for all degrees below band_limit (cached per band limit).
+    """Delta tables for all degrees below band_limit (cached per band limit)."""
+    return _build_delta(band_limit)
+
+
+def _build_delta(band_limit: int) -> WignerTables:
+    """Delta tables for all degrees below band_limit, uncached.
 
     The quadrant of degree l is its closed-form border row m = l and column
     m' = l around entries that a three-term recursion takes from degrees l-1
@@ -181,7 +186,8 @@ def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
     """Wigner D matrix D^l_{m,m'} = e^{-i m alpha} d^l_{m,m'}(beta) e^{-i m' gamma}."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    return _rotate_degree(compute_delta(degree + 1)[degree], rot, np.eye(2 * degree + 1)).T
+    # a one-off table: Delta^l does not depend on the band limit, so caching it would only evict the transforms' tables
+    return _rotate_degree(_build_delta(degree + 1)[degree], rot, np.eye(2 * degree + 1)).T
 
 
 def wigner_d(degree: int, beta: float) -> np.ndarray:

@@ -32,6 +32,30 @@ def test_verify_filtered_passes(tmp_path, capsys):
     assert all(row.rsplit(",", 1)[1] == "True" for row in lines[2:])
 
 
+def test_verify_filter_reports_every_matching_row(monkeypatch):
+    # Each check runs once for real; the filtered runs replay its rows, so
+    # they show which rows the filter keeps and which groups it runs.
+    from swirl import verification
+
+    ran = []
+
+    def replay(group, rows):
+        def check(seed=0):
+            ran.append(group)
+            return rows
+        return check
+
+    checks = tuple((group, replay(group, check(seed=0))) for group, check in verification.CHECKS)
+    monkeypatch.setattr(verification, "CHECKS", checks)
+    everything = verification.run_verification()
+    groups = sorted({group for group, _ in checks})
+    for name_filter in groups + [row.name for row in everything] + ["er", "r", "ation"]:
+        ran.clear()
+        assert verification.run_verification(name_filter) == [r for r in everything if name_filter in r.name]
+        if name_filter.split(".")[0] in groups:  # a group or one of its rows: that group's checks only
+            assert set(ran) == {name_filter.split(".")[0]}
+
+
 def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     # flip the torus-extension parity: the grid rows must catch it
     monkeypatch.setattr(grid_mod, "parity_sign", lambda spin: 1.0 if spin % 2 else -1.0)

@@ -12,7 +12,7 @@ from swirl.equivariance import (
     smooth_harness_signal,
     write_reports_csv,
 )
-from swirl.layers import FilterBank, PhaseCollapseParams, apply_phase_collapse, spectral_conv
+from swirl.layers import FilterBank, PhaseCollapseParams, phase_collapse, spectral_conv
 from swirl.signal import SpinCoefficients, degree_slice
 from swirl.transforms import inverse
 from swirl.wigner import Rotation, compute_delta, random_rotations
@@ -150,7 +150,7 @@ def test_phase_collapse_equivariance_smooth_family(rng):
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
     params = PhaseCollapseParams.random(rng, 2, 4)
     report = equivariance_error(
-        lambda s: apply_phase_collapse(s, params), sig, random_rotations(20, 9), "phase_collapse"
+        lambda s: phase_collapse(s, params), sig, random_rotations(20, 9), "phase_collapse"
     )
     assert report.max_rel_err <= 1e-6
 

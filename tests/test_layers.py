@@ -10,7 +10,6 @@ from swirl.layers import (
     FilterBank,
     PhaseCollapseParams,
     ResidualBlockParams,
-    apply_phase_collapse,
     phase_collapse,
     residual_block_train,
     spectral_batch_norm,
@@ -190,7 +189,7 @@ def test_phase_collapse_identity_params(rng):
     L = 8
     sig = inverse(random_coefficients(rng, 1, np.array([0, 0, 1]), L), compute_delta(L))
     params = PhaseCollapseParams.identity(2, 3)
-    out = apply_phase_collapse(sig, params)
+    out = phase_collapse(sig, params)
     np.testing.assert_array_equal(out.samples, sig.samples)
 
 
@@ -208,8 +207,8 @@ def test_phase_collapse_global_phase_invariance(rng):
     phased[:, 1:] *= phase
     from swirl.signal import SpinSignal
 
-    out = phase_collapse(sig, w1, w2, b)
-    out_phased = phase_collapse(SpinSignal(phased, spins, sig.grid), w1, w2, b)
+    out = phase_collapse(sig, PhaseCollapseParams(w1, w2, b))
+    out_phased = phase_collapse(SpinSignal(phased, spins, sig.grid), PhaseCollapseParams(w1, w2, b))
     np.testing.assert_allclose(out_phased.samples[:, 0], out.samples[:, 0], atol=1e-13)
     np.testing.assert_allclose(out_phased.samples[:, 1:], phase * out.samples[:, 1:], atol=0)
 
@@ -219,7 +218,7 @@ def test_phase_collapse_leaves_nonzero_spins_bitwise(rng):
     spins = np.array([0, 1, 2])
     sig = inverse(random_coefficients(rng, 2, spins, L), compute_delta(L))
     params = PhaseCollapseParams.random(rng, 1, 3)
-    out = apply_phase_collapse(sig, params)
+    out = phase_collapse(sig, params)
     np.testing.assert_array_equal(out.samples[:, 1:], sig.samples[:, 1:])
 
 
@@ -227,14 +226,59 @@ def test_phase_collapse_rejects_complex_w2(rng):
     L = 4
     sig = inverse(random_coefficients(rng, 1, np.array([0]), L), compute_delta(L))
     with pytest.raises(ValueError):
-        phase_collapse(sig, np.eye(1, dtype=complex), np.eye(1) * 1j, np.zeros(1))
+        phase_collapse(sig, PhaseCollapseParams(np.eye(1, dtype=complex), np.eye(1) * 1j, np.zeros(1)))
 
 
 def test_phase_collapse_dimension_mismatch(rng):
     L = 4
     sig = inverse(random_coefficients(rng, 1, np.array([0, 1]), L), compute_delta(L))
     with pytest.raises(ValueError):
-        phase_collapse(sig, np.eye(2, dtype=complex), np.zeros((1, 2)), np.zeros(1))
+        phase_collapse(sig, PhaseCollapseParams(np.eye(2, dtype=complex), np.zeros((1, 2)), np.zeros(1)))
+
+
+def test_phase_collapse_matches_per_sample_loop(rng):
+    # A non-symmetric W1, a nonzero W2 and bias, batch > 1 and spin-0
+    # channels that are not contiguous: a transposed W1, a dropped term or a
+    # wrong channel index each change the result.
+    L = 6
+    spins = np.array([0, 1, 0, 2])
+    sig = inverse(random_coefficients(rng, 3, spins, L), compute_delta(L))
+    w1 = np.array([[1.0 + 2.0j, -0.5j], [0.3, 2.0 - 1.0j]])
+    params = PhaseCollapseParams(w1, rng.normal(size=(2, 4)), np.array([1.5 - 0.5j, -2.0 + 1.0j]))
+    zero = np.flatnonzero(spins == 0)
+    want = sig.samples.copy()
+    for b in range(sig.batch):
+        for i, ci in enumerate(zero):
+            acc = np.full(sig.samples.shape[2:], params.bias[i])
+            for j, cj in enumerate(zero):
+                acc = acc + params.w1[i, j] * sig.samples[b, cj]
+            for c in range(len(spins)):
+                acc = acc + params.w2[i, c] * np.abs(sig.samples[b, c])
+            want[b, ci] = acc
+    got = phase_collapse(sig, params).samples
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_array_equal(got[:, spins != 0], sig.samples[:, spins != 0])
+
+
+def test_phase_collapse_rejects_params_of_another_layout(rng):
+    L = 4
+    sig = inverse(random_coefficients(rng, 1, np.array([0, 1]), L), compute_delta(L))
+    for c0, ct in ((2, 2), (1, 3)):
+        with pytest.raises(ValueError, match="spin-0 channels"):
+            phase_collapse(sig, PhaseCollapseParams.identity(c0, ct))
+
+
+def test_phase_collapse_params_own_their_checks():
+    params = PhaseCollapseParams([[1.0]], [[2, 3]], [0.5])
+    assert params.w1.dtype == complex and params.bias.dtype == complex and params.w2.dtype == float
+    for w1, w2, bias in (
+        (np.eye(2), np.zeros((2, 3)), np.zeros(1)),  # w1 not (C0, C0)
+        (np.eye(1), np.zeros(3), np.zeros(1)),  # w2 not 2-D
+        (np.eye(1), np.zeros((2, 3)), np.zeros(1)),  # w2 rows are not C0
+        (np.eye(1), np.zeros((1, 3)), np.zeros((1, 1))),  # bias not 1-D
+    ):
+        with pytest.raises(ValueError, match="are not"):
+            PhaseCollapseParams(w1, w2, bias)
 
 
 # --- spectral batch norm ----------------------------------------------------
@@ -319,6 +363,30 @@ def test_batch_norm_state_validation():
         BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, epsilon=0.0)
     with pytest.raises(ValueError):
         BatchNormState(np.ones(1), np.zeros(1, dtype=complex), np.array([-1.0]))
+
+
+def test_batch_norm_state_rejects_mismatched_shapes():
+    for scale, bias, running in (
+        (np.ones(2), np.zeros(3, dtype=complex), None),
+        (np.ones(2), np.zeros(2, dtype=complex), np.ones(3)),
+        (np.ones((1, 2)), np.zeros((1, 2), dtype=complex), None),
+    ):
+        with pytest.raises(ValueError, match="share one"):
+            BatchNormState(scale, bias, running)
+
+
+def test_spectral_variance_survives_a_large_mean(rng):
+    # Subtracting a 1e8 mean-slot energy from the total would cancel the
+    # 1e-11 variance to 0; zeroing the slot keeps it.
+    L = 4
+    co = np.zeros((2, 1, num_coefficients(L)), dtype=complex)
+    co[:, 0, 1:] = 1e-6 * (rng.normal(size=(2, 15)) + 1j * rng.normal(size=(2, 15)))
+    co[:, 0, 0] = 1e4
+    coeffs = SpinCoefficients(co, np.array([0]), L)
+    var = spectral_variance(coeffs)
+    np.testing.assert_allclose(var[:, 0], (np.abs(co[:, 0, 1:]) ** 2).sum(axis=-1) / (4 * np.pi), rtol=1e-14)
+    _, state = spectral_batch_norm(coeffs, BatchNormState.initialize(1), "train")
+    np.testing.assert_array_equal(state.running_variance, var.mean(axis=0))
 
 
 # --- pooling ----------------------------------------------------------------
@@ -412,7 +480,7 @@ def test_residual_zero_banks_reduces_to_skip(rng):
     params = _block_params(rng, L, zero_banks=True)
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
     out = residual_block_train(sig, params)[0]
-    expected = apply_phase_collapse(sig, params.collapse2)
+    expected = phase_collapse(sig, params.collapse2)
     np.testing.assert_allclose(out.samples, expected.samples, atol=1e-12)
 
 
@@ -438,7 +506,7 @@ def test_residual_block_pooling_structure(rng):
     skip = spectral_pool(co, pooled)
     zero_banks = _block_params(rng, L, pool_to=pooled, zero_banks=True)
     out2, _ = residual_block_train(sig, zero_banks)
-    expected = apply_phase_collapse(inverse(skip, compute_delta(pooled)), zero_banks.collapse2)
+    expected = phase_collapse(inverse(skip, compute_delta(pooled)), zero_banks.collapse2)
     np.testing.assert_allclose(out2.samples, expected.samples, atol=1e-12)
 
 

@@ -173,6 +173,26 @@ def test_diatomic_calibrated_values():
     assert channel[j0 + 8, k0] == pytest.approx(0.05, abs=1e-12)
 
 
+def test_featurize_matches_per_pair_sum():
+    # The module formula written out pair by pair, with types listed out of
+    # vocabulary order and two powers, pins each kernel to its channel.
+    grid = make_grid(8)
+    z = np.array([6, 1, 8, 1, 6])
+    pos = np.array([[0.1, 0.2, -0.3], [1.0, 0.4, 0.2], [-0.7, 0.9, 0.5], [0.3, -1.1, 0.8], [-0.2, -0.4, -1.3]])
+    vocabulary, powers, sigma = (8, 1, 6), (1, 3), 0.4
+    want = np.zeros((len(z), len(powers) * len(vocabulary), grid.n, grid.n))
+    for i in range(len(z)):
+        for j in range(len(z)):
+            if j != i:
+                r = pos[j] - pos[i]
+                angle = np.arccos(np.clip(grid.unit_vectors() @ (r / np.linalg.norm(r)), -1.0, 1.0))
+                for pi, p in enumerate(powers):
+                    channel = pi * len(vocabulary) + vocabulary.index(z[j])
+                    want[i, channel] += z[i] * z[j] / np.linalg.norm(r) ** p * np.exp(-(angle**2) / (2 * sigma**2))
+    got = featurize(Molecule(z, pos), vocabulary, grid, powers, sigma).values
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_featurize_unknown_type_rejected(water_xyz):
     with pytest.raises(ValueError, match="not in vocabulary"):
         featurize(parse_xyz(water_xyz), (1,), make_grid(8))

@@ -84,6 +84,18 @@ def test_compute_delta_cached():
     assert compute_delta(8) is compute_delta(8)
 
 
+def test_wigner_d_leaves_the_table_cache_alone():
+    # wigner_D builds a one-off table of its degree; caching one per degree
+    # would evict the transforms' tables.
+    from swirl.verification import check_wigner_d_oracle
+
+    compute_delta(128)
+    check_wigner_d_oracle()
+    hits = compute_delta.cache_info().hits
+    compute_delta(128)
+    assert compute_delta.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("l", [0, 1, 3, 9])
 def test_wigner_d_at_zero_is_identity(l):
     np.testing.assert_allclose(wigner_d(l, 0.0), np.eye(2 * l + 1), atol=1e-13)
