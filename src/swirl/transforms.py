@@ -3,8 +3,9 @@
 A spin-s transform on the n x n grid (n = 2L) is three linear stages:
 1. Longitude: a DFT (np.fft or a DFT-matrix product: the backend) over the
    n longitudes of every colatitude row gives the orders m in [-(L-1), L-1].
-2. Colatitude: one matmul per parity p = (-1)^(m+s) takes the n rows theta_j
-   to the rows m' of the inner products I_{m',m}, and the rows of G back:
+2. Colatitude: one matmul per parity p = (-1)^(m+s), whose orders are two strided
+   slices of the longitude spectrum (m < 0 at 2L + m, then m >= 0; no index arrays),
+   takes the n rows theta_j to the rows m' of the inner products I_{m',m}, and the rows of G back:
 
        analysis_p = W (E + p E[::-1]) / (2 n^2),    synthesis_p = conj(E)^T,
 
@@ -80,6 +81,8 @@ def _dft(values: np.ndarray, direction: str, backend: str) -> np.ndarray:
     # unnormalized 1-D DFT over the last axis, kernel e^{-2 pi i km/n} ('analysis') or its conjugate
     if backend == "fft":
         return np.fft.fft(values) if direction == "analysis" else np.fft.ifft(values, norm="forward")
+    if backend != "dft_matrix":
+        raise ValueError(f"backend must be one of {FOURIER_BACKENDS}, got {backend!r}")
     E = _dft_matrix(values.shape[-1])  # symmetric
     return values @ (E if direction == "analysis" else E.conj())
 
@@ -92,8 +95,6 @@ def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.n
     """
     if direction not in ("analysis", "synthesis"):
         raise ValueError(f"direction must be 'analysis' or 'synthesis', got {direction!r}")
-    if backend not in FOURIER_BACKENDS:
-        raise ValueError(f"backend must be one of {FOURIER_BACKENDS}, got {backend!r}")
     out = _dft(_dft(values, direction, backend).swapaxes(-1, -2), direction, backend).swapaxes(-1, -2)
     return out if direction == "analysis" else out / values.shape[-1] / values.shape[-2]
 
@@ -105,10 +106,11 @@ def _phase_vector(L: int, spin: int) -> np.ndarray:
 
 
 def _parities(L: int, spin: int):
-    # (p, columns, longitude indices) of the orders m = -(L-1) .. L-1 with (-1)^(m+s) = p
-    orders = np.arange(-(L - 1), L)
+    # (p, columns, split, neg, nonneg) of the orders m = -(L-1) .. L-1 with (-1)^(m+s) = p: the first split
+    # columns are the orders m < 0, at the longitudes 2L + m (slice neg), the rest m >= 0 (slice nonneg)
     for first in (0, 1):
-        yield (1 if (first - L + 1 + spin) % 2 == 0 else -1), slice(first, None, 2), orders[first::2] % (2 * L)
+        p = 1 if (first - L + 1 + spin) % 2 == 0 else -1
+        yield p, slice(first, None, 2), (L - first) // 2, slice(L + 1 + first, None, 2), slice((first + L + 1) % 2, L, 2)
 
 
 def _fold(x: np.ndarray, p) -> np.ndarray:
@@ -142,16 +144,16 @@ def _analysis(samples, spin, L, backend, reduced):
     """I_{m',m} on the path's rows m' of samples (..., n, n), shape (..., rows, 2L-1)."""
     spec = _dft(np.asarray(samples, dtype=complex), "analysis", backend)
     out = np.empty(spec.shape[:-2] + (L if reduced else 2 * L - 1, 2 * L - 1), dtype=complex)
-    for p, cols, k in _parities(L, spin):
-        out[..., cols] = _colatitude_maps(L, p, reduced)[0] @ spec[..., k]
+    for p, cols, _, neg, nonneg in _parities(L, spin):
+        out[..., cols] = _colatitude_maps(L, p, reduced)[0] @ np.concatenate([spec[..., neg], spec[..., nonneg]], axis=-1)
     return out
 
 
 def _synthesis(G, spin, L, backend, reduced):
     """Samples (..., n, n) of G_{m',m} given on the path's rows m', (..., rows, 2L-1)."""
     spec = np.zeros(G.shape[:-2] + (2 * L, 2 * L), dtype=complex)
-    for p, cols, k in _parities(L, spin):
-        spec[..., k] = _colatitude_maps(L, p, reduced)[1] @ G[..., cols]
+    for p, cols, split, neg, nonneg in _parities(L, spin):
+        spec[..., neg], spec[..., nonneg] = np.split(_colatitude_maps(L, p, reduced)[1] @ G[..., cols], [split], axis=-1)
     return _dft(spec, "synthesis", backend)
 
 
@@ -161,6 +163,8 @@ def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend:
     I_{m',m} = integral of f(theta, phi) e^{-i m' theta} e^{-i m phi}
     over the sphere, exact for band-limited f; m', m in [-(L-1), L-1].
     """
+    if np.shape(samples)[-2:] != (grid.n, grid.n):
+        raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
     return _analysis(samples, spin, grid.band_limit, backend, reduced=False)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from swirl import reference, transforms
 from swirl.equivariance import random_coefficients
 from swirl.grid import extend_samples, make_grid, weight_matrix
-from swirl.signal import SpinCoefficients, SpinSignal, degree_slice, flat_index, num_coefficients
+from swirl.signal import SpinCoefficients, SpinSignal, degree_of_index, degree_slice, flat_index, num_coefficients
 from swirl.transforms import (
     TransformConfig,
     _analysis,
@@ -134,6 +134,53 @@ def test_backend_equivalence(rng):
     assert np.abs(s1.samples - s2.samples).max() / np.abs(s1.samples).max() < 1e-12
     f1, f2 = forward(s1, tables, dft), forward(s1, tables, fft)
     assert np.abs(f1.coeffs - f2.coeffs).max() / np.abs(f1.coeffs).max() < 1e-12
+
+
+def _conjugate_coefficients(flat, spin, L):
+    # Coefficients of conj(f) as a spin -s function: conj(sY_lm) = (-1)^(s+m) (-s)Y_{l,-m}
+    l = degree_of_index(L)
+    m = np.arange(L * L) - l * l - l
+    return np.where((spin + m) % 2 == 0, 1.0, -1.0) * np.conj(flat[..., l * l + l - m])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_spin_conjugation_matches_reference_synthesis(rng, L):
+    # Pins the sign convention of the s <-> -s, m <-> -m identity on the
+    # reference harmonics before the transforms are held to it.
+    theta, phi = rng.uniform(0, np.pi, 7), rng.uniform(0, 2 * np.pi, 7)
+    for spin in range(-(L - 1), L):
+        flat = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
+        flat[: num_coefficients(abs(spin))] = 0.0
+        want = np.conj(reference.synthesize_at(flat, spin, L, theta, phi))
+        got = reference.synthesize_at(_conjugate_coefficients(flat, spin, L), -spin, L, theta, phi)
+        assert _max_rel(got, want) < 1e-12
+
+
+@st.composite
+def _conjugation_cases(draw):
+    L = draw(st.integers(1, 16))
+    spin = draw(st.sampled_from([L - 1, -(L - 1)]) | st.integers(-(L - 1), L - 1))
+    return L, draw(st.integers(1, 2)), spin, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_conjugation_cases())
+def test_spin_conjugation_through_forward_and_inverse(case):
+    # conj(f) of a spin-s f is spin -s with coefficients (-1)^(s+m) conj(a_{l,-m}):
+    # every order changes parity with the spin, so both parity classes of
+    # longitude slices carry the other orders on the two sides.
+    L, batch, spin, seed = case
+    rng = np.random.default_rng(seed)
+    tables = compute_delta(L)
+    grid = make_grid(2 * L)
+    spins = np.array([spin, -spin])
+    co = random_coefficients(rng, batch, spins, L)
+    conj_co = np.stack([_conjugate_coefficients(co.coeffs[:, c], s, L) for c, s in enumerate(spins)], axis=1)
+    for config in ALL_CONFIGS:
+        samples = inverse(co, tables, config).samples
+        conj_samples = inverse(SpinCoefficients(conj_co, -spins, L), tables, config).samples
+        assert _max_rel(conj_samples, np.conj(samples)) < 1e-12
+        back = forward(_signal(np.conj(samples), -spins, grid), tables, config).coeffs
+        assert _max_rel(back, conj_co) < 1e-10
 
 
 def test_g_symmetry(rng):
@@ -291,7 +338,9 @@ def _torus_synthesis(G, L, backend):
 def _map_cases(draw):
     L = draw(st.integers(1, 12))
     spin = draw(st.sampled_from([L - 1, -(L - 1)]) | st.integers(-(L - 1), L - 1))
-    return L, draw(st.integers(0, 3)), spin, draw(st.integers(0, 2**32 - 1))
+    # (batch, channels): the leading layout forward and inverse pass to the stages
+    lead = (draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    return L, lead, spin, draw(st.integers(0, 2**32 - 1))
 
 
 @given(_map_cases())
@@ -299,11 +348,11 @@ def test_colatitude_maps_match_torus_round_trip(case):
     # The longitude DFT and the matmul per parity compute the torus round
     # trip; the reduced path's rows are the fold of I and carry the rows of
     # G that its symmetry G_{-m',m} = (-1)^(m+s) G_{m',m} does not fix.
-    L, batch, spin, seed = case
+    L, lead, spin, seed = case
     rng = np.random.default_rng(seed)
     n, c = 2 * L, L - 1
-    samples = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
-    G = rng.normal(size=(batch, 2 * L - 1, 2 * L - 1)) + 1j * rng.normal(size=(batch, 2 * L - 1, 2 * L - 1))
+    samples = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+    G = rng.normal(size=lead + (2 * L - 1, 2 * L - 1)) + 1j * rng.normal(size=lead + (2 * L - 1, 2 * L - 1))
     p = np.where((np.arange(-c, L) + spin) % 2 == 0, 1.0, -1.0)  # per order m
     k = np.arange(1, L)
     for config in ALL_CONFIGS:
@@ -311,12 +360,31 @@ def test_colatitude_maps_match_torus_round_trip(case):
         I = _torus_inner_products(samples, spin, L, backend)
         want_I, want_G, rows = I, G.copy(), slice(None)
         if reduced:
-            want_I = I[:, c:].copy()
-            want_I[:, k] += p * I[:, c - k]
-            want_G[:, c - k] = p * G[:, c + k]
+            want_I = I[..., c:, :].copy()
+            want_I[..., k, :] += p * I[..., c - k, :]
+            want_G[..., c - k, :] = p * G[..., c + k, :]
             rows = slice(c, None)
         assert _max_rel(_analysis(samples, spin, L, backend, reduced), want_I) < 1e-12
-        assert _max_rel(_synthesis(G[:, rows], spin, L, backend, reduced), _torus_synthesis(want_G, L, backend)) < 1e-12
+        assert _max_rel(_synthesis(G[..., rows, :], spin, L, backend, reduced), _torus_synthesis(want_G, L, backend)) < 1e-12
+
+
+def test_parity_slices_match_order_indices():
+    # Each parity class of orders is two strided slices of the 2L longitudes:
+    # its orders m < 0 at 2L + m, then its orders m >= 0.  Together the two
+    # classes hold every longitude but the Nyquist index L, once.
+    for L in range(1, 131):
+        orders = np.arange(-(L - 1), L)
+        longitudes = np.arange(2 * L)
+        for spin in (-1, 0, 1):
+            seen = []
+            for first, (p, cols, split, neg, nonneg) in enumerate(transforms._parities(L, spin)):
+                k = orders[first::2] % (2 * L)
+                np.testing.assert_array_equal(np.concatenate([longitudes[neg], longitudes[nonneg]]), k)
+                assert split == longitudes[neg].size == np.count_nonzero(orders[first::2] < 0)
+                np.testing.assert_array_equal(orders[cols], orders[first::2])
+                assert np.all(np.where((orders[cols] + spin) % 2 == 0, 1, -1) == p)
+                seen.append(k)
+            np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.delete(longitudes, L))
 
 
 # --- fourier_2d -------------------------------------------------------------
@@ -348,6 +416,18 @@ def test_fourier_backends_agree_and_invert(rng):
     for backend in ("dft_matrix", "fft"):
         back = fourier_2d(fourier_2d(arr, "synthesis", backend), "analysis", backend)
         assert np.abs(back - arr).max() / np.abs(arr).max() < 1e-12
+
+
+def test_inner_products_rejects_unknown_backend(rng):
+    grid = make_grid(8)
+    with pytest.raises(ValueError, match="bogus"):
+        inner_products(rng.normal(size=(8, 8)), 0, grid, backend="bogus")
+
+
+def test_inner_products_rejects_samples_off_the_grid(rng):
+    grid = make_grid(8)
+    with pytest.raises(ValueError, match=r"\(9, 8\).*\(8, 8\)"):
+        inner_products(rng.normal(size=(2, 1, 9, 8)), 0, grid)
 
 
 def test_fourier_rejects_bad_arguments(rng):
