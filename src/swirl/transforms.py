@@ -165,7 +165,9 @@ def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend:
     """
     if np.shape(samples)[-2:] != (grid.n, grid.n):
         raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
-    return _analysis(samples, spin, grid.band_limit, backend, reduced=False)
+    if spin != int(spin) or abs(spin) >= grid.band_limit:
+        raise ValueError(f"spin {spin} must be an integer with |spin| < band limit {grid.band_limit}")
+    return _analysis(samples, int(spin), grid.band_limit, backend, reduced=False)
 
 
 def _check_tables(band_limit: int, tables: WignerTables):

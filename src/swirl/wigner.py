@@ -2,10 +2,11 @@
 
 The transform core only needs the d matrices at beta = pi/2 (the Delta
 tables).  They are stored as one quadrant per degree, Delta^l_{m,m'} for
-0 <= m, m' <= l, built by a three-term recursion over degree with
-closed-form border rows.  Full tables unfold from the quadrant by the
-index symmetries, so every symmetry relation holds bitwise in what callers
-read.  Generic-angle d matrices come from the Fourier-series identity
+0 <= m, m' <= l, built by a three-term recursion over degree with border
+rows from running products, so no special function is evaluated.  Full
+tables unfold from the quadrant by the index symmetries, so every symmetry
+relation holds bitwise in what callers read.  Generic-angle d matrices
+come from the Fourier-series identity
 
     d^l_{a,b}(beta) = i^(a-b) * sum_c Delta^l_{c,a} e^{-i c beta} Delta^l_{c,b}
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 MAX_BAND_LIMIT = 2048
 
@@ -69,10 +69,10 @@ def compute_delta(band_limit: int) -> WignerTables:
 def _build_delta(band_limit: int) -> WignerTables:
     """Delta tables for all degrees below band_limit, uncached.
 
-    The quadrant of degree l is its closed-form border row m = l and column
-    m' = l around entries that a three-term recursion takes from degrees l-1
-    and l-2.  The 8 L^3 bytes are checked against host memory before they are
-    allocated.
+    The quadrant of degree l is its border row m = l and column m' = l,
+    running products of closed-form ratios, around entries that a three-term
+    recursion takes from degrees l-1 and l-2.  The 8 L^3 bytes are checked
+    against host memory before they are allocated.
     """
     L = band_limit
     if L < 1:
@@ -85,9 +85,12 @@ def _build_delta(band_limit: int) -> WignerTables:
                           f"more than this host's {memory / 2**30:.1f} GiB of memory")
     delta = np.zeros((L, L, L))
     l, b = np.arange(L)[:, None], np.arange(L)
-    logmag = -l * np.log(2.0) + 0.5 * (gammaln(2 * l + 1) - gammaln(l + b + 1) - gammaln(abs(l - b) + 1))
-    # border[l, b] = Delta^l_{l,b} = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!)) for b <= l
-    border = np.where(b <= l, _signs(l - b) * np.exp(logmag), 0.0)
+    # border[l, b] = Delta^l_{l,b} = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!)) for b <= l, from running products:
+    # |Delta^l_{l,0}| = prod_{k<=l} sqrt((2k-1)/(2k)) and |Delta^l_{l,k}| = sqrt((l-k+1)/(l+k)) |Delta^l_{l,k-1}|
+    k = np.arange(1, L)
+    first = np.cumprod(np.r_[1.0, np.sqrt((2 * k - 1) / (2 * k))])
+    ratio = np.sqrt(np.maximum(l - k + 1, 0) / (l + k))
+    border = np.where(b <= l, _signs(l - b) * np.cumprod(np.hstack([first[:, None], ratio]), axis=1), 0.0)
     delta[b, b, :] = border  # row m = l
     delta[:, b, b] = border.T * _signs(l - b)  # column m' = l: Delta^l_{i,l} = (-1)^(i-l) Delta^l_{l,i}
     # (l-1) sqrt((l^2-i^2)(l^2-j^2)) d^l = -(2l-1) i j d^(l-1) - l sqrt(((l-1)^2-i^2)((l-1)^2-j^2)) d^(l-2)

@@ -430,6 +430,15 @@ def test_inner_products_rejects_samples_off_the_grid(rng):
         inner_products(rng.normal(size=(2, 1, 9, 8)), 0, grid)
 
 
+@pytest.mark.parametrize("spin", [0.5, -1.5, 4, -4, 101])
+def test_inner_products_rejects_a_spin_that_is_not_an_integer_below_the_band_limit(rng, spin):
+    # unchecked, spin 0.5 returned an array that matched no integer spin and
+    # spin 101 aliased to spin 1
+    grid = make_grid(8)
+    with pytest.raises(ValueError, match=rf"spin {spin} .*band limit 4"):
+        inner_products(rng.normal(size=(8, 8)), spin, grid)
+
+
 def test_fourier_rejects_bad_arguments(rng):
     arr = rng.normal(size=(4, 4)).astype(complex)
     with pytest.raises(ValueError):

@@ -52,6 +52,46 @@ def test_delta_orthogonality_and_symmetry():
         np.testing.assert_array_equal(d[:, ::-1], np.where((l + m) % 2 == 0, 1.0, -1.0)[:, None] * d)
 
 
+@pytest.mark.parametrize("l", [63, 127, 255])
+def test_delta_border_rows_match_factorial_closed_form(l):
+    # Delta^l_{l,b} = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!)), evaluated at 40
+    # digits from exact factorials (a float pi/2 would shift it by about b * 6e-17)
+    import mpmath
+
+    row = compute_delta(256).delta[l, l, : l + 1]
+    with mpmath.workdps(40):
+        exact = [
+            (-1) ** (l - b) * mpmath.sqrt(mpmath.factorial(2 * l) / (mpmath.factorial(l + b) * mpmath.factorial(l - b)))
+            / mpmath.mpf(2) ** l
+            for b in range(l + 1)
+        ]
+        worst = max(abs((mpmath.mpf(float(v)) - e) / e) for v, e in zip(row, exact))
+    assert worst <= 1e-14
+
+
+def test_delta_orthogonal_at_the_top_degree_of_l256():
+    d = compute_delta(256)[255]
+    assert np.abs(d @ d.T - np.eye(511)).max() <= 1e-13
+
+
+def test_swirl_runs_without_scipy():
+    # scipy is a test dependency only; a fresh interpreter (this one has
+    # imported it already) must import every swirl module and build a table without it
+    import os, subprocess, sys
+    from pathlib import Path
+
+    path = os.pathsep.join(filter(None, [str(Path(wigner.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import swirl.transforms, swirl.layers, swirl.equivariance, swirl.molecules, swirl.containers, swirl.bench, swirl.cli\n"
+        "from swirl.wigner import compute_delta\n"
+        "compute_delta(8)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compute_delta_rejects_out_of_range():
     with pytest.raises(ValueError):
         compute_delta(0)
