@@ -16,7 +16,7 @@ import numpy as np
 from .layers import _grouped_spins
 from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
 from .transforms import forward, inverse
-from .wigner import Rotation, WignerTables, _rotate_degree, compute_delta
+from .wigner import Rotation, WignerTables, _rotate_degree, _rotation_phases, compute_delta
 
 CSV_HEADER_COMMENT = "# swirl-csv v1"
 
@@ -27,7 +27,8 @@ def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerT
         raise ValueError(
             f"tables band limit {tables.band_limit} is smaller than coefficients ({coeffs.band_limit})"
         )
-    blocks = [_rotate_degree(tables[l], rot, coeffs.degree_block(l)) for l in range(coeffs.band_limit)]
+    phases = _rotation_phases(coeffs.band_limit, rot)
+    blocks = [_rotate_degree(tables[l], phases, coeffs.degree_block(l)) for l in range(coeffs.band_limit)]
     return SpinCoefficients(np.concatenate(blocks, axis=-1), coeffs.spins.copy(), coeffs.band_limit)
 
 

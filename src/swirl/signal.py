@@ -33,6 +33,15 @@ def degree_of_index(band_limit: int) -> np.ndarray:
     return np.repeat(np.arange(band_limit), 2 * np.arange(band_limit) + 1)
 
 
+def _integer_spins(spins) -> np.ndarray:
+    """The spins as an int array, rejecting any that is not an integer rather than truncating it."""
+    given = np.asarray(spins)
+    out = given.astype(int)
+    if np.any(bad := given != out):
+        raise ValueError(f"spin {given[bad][0]} must be an integer, got spins {given.tolist()}")
+    return out
+
+
 @dataclass(frozen=True)
 class SpinSignal:
     """Batched multi-channel complex samples on a spherical grid.
@@ -47,7 +56,7 @@ class SpinSignal:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
-        spins = np.asarray(self.spins, dtype=int)
+        spins = _integer_spins(self.spins)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "spins", spins)
         if samples.ndim != 4:
@@ -83,7 +92,7 @@ class SpinCoefficients:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        spins = np.asarray(self.spins, dtype=int)
+        spins = _integer_spins(self.spins)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "spins", spins)
         L = self.band_limit

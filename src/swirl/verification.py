@@ -49,10 +49,11 @@ H 0.000000 0.763239 -0.477047
 H 0.000000 -0.763239 -0.477047
 """
 
-FULL = TransformConfig(symmetry_path="full")
-REDUCED = TransformConfig(symmetry_path="reduced")
-FFT = TransformConfig(fourier_backend="fft")
-DFT = TransformConfig(fourier_backend="dft_matrix")
+# the equivalence rows compare the paths on the DFT-matrix backend and the backends on the full path
+FULL = TransformConfig("dft_matrix", "full")
+REDUCED = TransformConfig("dft_matrix", "reduced")
+FFT = TransformConfig("fft", "full")
+DFT = TransformConfig("dft_matrix", "full")
 
 
 @dataclass(frozen=True)

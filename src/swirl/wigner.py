@@ -15,7 +15,8 @@ so a rotation matrix factors through the Delta table of its degree:
     D^l(R) = diag(i^a e^{-i a alpha}) Delta^T diag(e^{-i c beta}) Delta diag(i^-b e^{-i b gamma})
 
 Rotations apply this product one factor at a time to the coefficients,
-reading the tables they are given; ``wigner_D`` and ``wigner_d`` are the
+reading the tables they are given and slicing the three phase vectors, built
+once per rotation, for each degree; ``wigner_D`` and ``wigner_d`` are the
 same product applied to the identity.
 """
 
@@ -53,11 +54,11 @@ class WignerTables:
     delta: np.ndarray
 
     def __getitem__(self, degree: int) -> np.ndarray:
-        # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}
-        k = np.arange(degree + 1)
+        # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]
+        alt = _signs(np.arange(2 * degree + 1))
         q = self.delta[: degree + 1, degree, : degree + 1]
-        top = np.concatenate([_signs(degree + k)[:, None] * q[:, :0:-1], q], axis=1)
-        return np.concatenate([_signs(degree - np.arange(-degree, degree + 1)) * top[:0:-1], top])
+        top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
+        return np.concatenate([alt * top[:0:-1], top])
 
 
 @lru_cache(maxsize=8)
@@ -177,12 +178,18 @@ def random_rotations(count: int, seed: int) -> list[Rotation]:
     return [Rotation.random(rng) for _ in range(count)]
 
 
-def _rotate_degree(delta: np.ndarray, rot: Rotation, x: np.ndarray) -> np.ndarray:
-    """Apply D^l(rot) along the last axis of x, given the degree-l Delta table."""
-    m = np.arange(delta.shape[0]) - delta.shape[0] // 2
-    x = x * (_I_POW[-m % 4] * np.exp(-1j * m * rot.gamma))
-    x = (x @ delta.T) * np.exp(-1j * m * rot.beta)
-    return (x @ delta) * (_I_POW[m % 4] * np.exp(-1j * m * rot.alpha))
+def _rotation_phases(band_limit: int, rot: Rotation) -> np.ndarray:
+    """The factors i^-m e^{-i m gamma}, e^{-i m beta}, i^m e^{-i m alpha} of D^l(rot), rows of a
+    (3, 2L-1) array over m = -(L-1) .. L-1; degree l reads the columns L-1-l .. L-1+l."""
+    m = np.arange(1 - band_limit, band_limit)
+    return np.exp(-1j * np.outer((rot.gamma, rot.beta, rot.alpha), m)) * _I_POW[[-m % 4, 0 * m, m % 4]]
+
+
+def _rotate_degree(delta: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply D^l(rot) along the last axis of x, given the degree-l Delta table and _rotation_phases(L, rot), L > l."""
+    c, l = phases.shape[1] // 2, delta.shape[0] // 2
+    first, middle, last = phases[:, c - l : c + l + 1]
+    return ((x * first) @ delta.T * middle) @ delta * last
 
 
 def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
@@ -190,7 +197,8 @@ def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     # a one-off table: Delta^l does not depend on the band limit, so caching it would only evict the transforms' tables
-    return _rotate_degree(_build_delta(degree + 1)[degree], rot, np.eye(2 * degree + 1)).T
+    delta = _build_delta(degree + 1)[degree]
+    return _rotate_degree(delta, _rotation_phases(degree + 1, rot), np.eye(2 * degree + 1)).T
 
 
 def wigner_d(degree: int, beta: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from swirl.containers import (
 )
 from swirl.equivariance import random_coefficients
 from swirl.signal import SpinSignal
-from swirl.transforms import inverse
+from swirl.transforms import DEFAULT_CONFIG, inverse
 from swirl.wigner import compute_delta
 
 
@@ -518,3 +518,8 @@ def test_featurize_refuses_a_grid_larger_than_memory(tmp_path, capsys, water_xyz
     assert main(["featurize", str(xyz), "--resolution", "100000", "--output", str(tmp_path / "f")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--resolution 100000" in err and "1788.1 GiB" in err
+
+
+def test_transform_flag_defaults_are_the_default_config():
+    args = parse(["transform", *_POSITIONALS["transform"], "--output", "o"])
+    assert (args.backend, args.path) == (DEFAULT_CONFIG.fourier_backend, DEFAULT_CONFIG.symmetry_path)

@@ -15,7 +15,7 @@ from swirl.equivariance import (
 from swirl.layers import FilterBank, PhaseCollapseParams, phase_collapse, spectral_conv
 from swirl.signal import SpinCoefficients, degree_slice
 from swirl.transforms import inverse
-from swirl.wigner import Rotation, compute_delta, random_rotations
+from swirl.wigner import Rotation, compute_delta, random_rotations, wigner_D
 
 
 def test_rotate_identity_is_identity(rng):
@@ -104,6 +104,17 @@ def test_spin1_modulus_rotates_as_scalar(rng):
     rel = np.abs(np.abs(rotated.samples[0, 0]) - np.abs(expected)).max() / np.abs(expected).max()
     assert rel < 1e-10
 
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 16])
+def test_rotate_coefficients_is_wigner_D_per_degree(rng, L):
+    # One set of phase vectors per call, sliced per degree, gives D^l(rot) @ block for every degree.
+    co = random_coefficients(rng, 2, np.array([0, L - 1, 1 - L]), L)
+    rot = Rotation.random(rng)
+    out = rotate_coefficients(co, rot, compute_delta(L))
+    for l in range(L):
+        want = co.degree_block(l) @ wigner_D(l, rot).T
+        assert np.abs(out.degree_block(l) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 def test_rotate_band_limit_mismatch(rng):
     co = random_coefficients(rng, 1, np.array([0]), 8)

@@ -224,6 +224,40 @@ def test_unsupported_spin_rejected(rng):
         _signal(rng.normal(size=(1, 1, 8, 8)), [4], grid)
 
 
+
+@pytest.mark.parametrize("spin", [0.5, 1.7, -0.5, 1.0])
+def test_containers_reject_a_spin_that_is_not_an_integer(spin):
+    # An integer-valued float is that integer; any other spin is an error, never truncated.
+    builders = [
+        lambda: SpinSignal(np.zeros((1, 1, 8, 8)), np.array([spin]), make_grid(8)),
+        lambda: SpinCoefficients(np.zeros((1, 1, 16)), np.array([spin]), 4),
+    ]
+    for build in builders:
+        if spin == int(spin):
+            spins = build().spins
+            assert spins.dtype.kind == "i" and spins.tolist() == [int(spin)]
+        else:
+            with pytest.raises(ValueError, match=f"spin {spin} must be an integer"):
+                build()
+
+
+def test_default_config_is_fft_reduced():
+    assert TransformConfig() == transforms.DEFAULT_CONFIG == TransformConfig("fft", "reduced")
+
+
+def test_default_transforms_are_the_fft_reduced_cell(rng):
+    # No config is fft/reduced bit for bit, and the dft_matrix/full cell agrees to rounding.
+    L = 16
+    tables = compute_delta(L)
+    explicit, other = TransformConfig("fft", "reduced"), TransformConfig("dft_matrix", "full")
+    co = random_coefficients(rng, 2, np.array([0, 1, -2, L - 1]), L)
+    sig = inverse(co, tables)
+    np.testing.assert_array_equal(sig.samples, inverse(co, tables, explicit).samples)
+    assert _max_rel(inverse(co, tables, other).samples, sig.samples) < 1e-12
+    back = forward(sig, tables)
+    np.testing.assert_array_equal(back.coeffs, forward(sig, tables, explicit).coeffs)
+    assert _max_rel(forward(sig, tables, other).coeffs, back.coeffs) < 1e-12
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TransformConfig(fourier_backend="dct")
@@ -274,6 +308,22 @@ def test_matches_per_degree_sums(rng, monkeypatch, config):
         assert _max_rel(forward(_signal(samples, [spin, spin], grid), tables, config).coeffs, want_co) < 1e-12
         assert _max_rel(g_matrix(co, tables, config), want_G) < 1e-12
 
+
+
+@pytest.mark.parametrize("orders", [3, 5])
+def test_kernel_chunks_match_one_chunk_bitwise(rng, monkeypatch, orders):
+    # The spin rows are built once per transform and sliced per chunk, so
+    # several chunks give the one-chunk result bit for bit.  (A chunk of one
+    # order at the top degree is a one-row product, which BLAS rounds differently.)
+    L = 32
+    tables = compute_delta(L)
+    co = random_coefficients(rng, 2, np.array([0, 1, -3, L - 1, 1 - L]), L)
+    sig = inverse(co, tables)
+    assert transforms._KERNEL_CHUNK_BYTES >= L * 8 * L * L  # one chunk by default at L=32
+    want_co, want_samples = forward(sig, tables).coeffs, inverse(co, tables).samples
+    monkeypatch.setattr(transforms, "_KERNEL_CHUNK_BYTES", orders * 8 * L * L)
+    np.testing.assert_array_equal(forward(sig, tables).coeffs, want_co)
+    np.testing.assert_array_equal(inverse(co, tables).samples, want_samples)
 
 @st.composite
 def _batched_layouts(draw):

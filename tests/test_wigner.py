@@ -52,6 +52,18 @@ def test_delta_orthogonality_and_symmetry():
         np.testing.assert_array_equal(d[:, ::-1], np.where((l + m) % 2 == 0, 1.0, -1.0)[:, None] * d)
 
 
+
+def test_every_unfolded_table_of_l64_keeps_both_index_symmetries():
+    # tables[l] reads both sign patterns from one alternation; each entry is a
+    # stored quadrant entry times +-1, so the symmetries hold bitwise.
+    tables = compute_delta(64)
+    for l in range(64):
+        d = tables[l]
+        sign = np.where((l + np.arange(-l, l + 1)) % 2 == 0, 1.0, -1.0)
+        np.testing.assert_array_equal(d[l:, l:], tables.delta[: l + 1, l, : l + 1])
+        np.testing.assert_array_equal(d[:, ::-1], sign[:, None] * d)  # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}
+        np.testing.assert_array_equal(d[::-1], sign * d)  # Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}
+
 @pytest.mark.parametrize("l", [63, 127, 255])
 def test_delta_border_rows_match_factorial_closed_form(l):
     # Delta^l_{l,b} = (-1)^(l-b) 2^-l sqrt((2l)! / ((l+b)!(l-b)!)), evaluated at 40
