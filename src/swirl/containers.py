@@ -9,11 +9,9 @@ with the order ascending from -degree within each degree.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -135,12 +133,6 @@ def header_positive_int(header: dict, field: str) -> int:
     return value
 
 
-def _check_tags(header: dict, **tags):
-    for field, value in {"convention": CONVENTION, **tags}.items():
-        if header.get(field) != value:
-            raise ContainerError(f"expected {field} {value!r}, got {header.get(field)!r}")
-
-
 def _check_finite(arrays):
     bad = [i for i, arr in enumerate(arrays) if not np.isfinite(arr).all()]
     if bad:
@@ -149,7 +141,9 @@ def _check_finite(arrays):
 
 def _read_blocks(header: dict, arrays, domain: str) -> tuple[int, list]:
     """(band limit, [(array, spins)]) of a spatial or spectral container, with every field checked."""
-    _check_tags(header, domain=domain)
+    for field, value in {"convention": CONVENTION, "domain": domain}.items():
+        if header.get(field) != value:
+            raise ContainerError(f"expected {field} {value!r}, got {header.get(field)!r}")
     n, L = header_positive_int(header, "grid_n"), header_positive_int(header, "band_limit")
     if n != 2 * L:
         raise ContainerError(f"header grid_n {n} must be twice band_limit {L}")
@@ -176,115 +170,3 @@ def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
             raise ContainerError(f"coefficient block shape {arr.shape} does not end in {num_coefficients(L)} entries")
     return [SpinCoefficients(arr, spins, L) for arr, spins in blocks]
 
-
-# --- layer parameters -------------------------------------------------------
-#
-# Layer parameters reuse the same container: real-valued parameters are
-# stored as complex128 with zero imaginary part.  The readers check the file; the layer types, the values.
-
-
-@contextmanager
-def _layer_values(kind: str):
-    """Re-raise a layer type's ValueError on values read from a file as a ContainerError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ContainerError(f"{kind}: {exc}") from None
-
-
-def pack_filter_bank(bank) -> tuple[dict, list]:
-    """One (C_in, C_out, L) block per (spin_in, spin_out) pair, in ascending pair order."""
-    blocks = {
-        (si, so): block
-        for si, row in zip(bank.spins_in, np.split(bank.weights, len(bank.spins_in)))
-        for so, block in zip(bank.spins_out, np.split(row, len(bank.spins_out), axis=1))
-    }
-    pairs = sorted(blocks)
-    header = {
-        "domain": "parameters",
-        "kind": "filter-bank",
-        "convention": CONVENTION,
-        "band_limit": bank.band_limit,
-        "spins_in": list(bank.spins_in),
-        "spins_out": list(bank.spins_out),
-        "blocks": [
-            {"shape": list(blocks[pair].shape), "spin_in": pair[0], "spin_out": pair[1]}
-            for pair in pairs
-        ],
-    }
-    return header, [blocks[pair] for pair in pairs]
-
-
-def unpack_filter_bank(header: dict, arrays):
-    """Assemble the dense taps from exactly one block per pair of spins_in x spins_out."""
-    from .layers import FilterBank
-
-    _check_tags(header, kind="filter-bank")
-    L = header_positive_int(header, "band_limit")
-    spins_in, spins_out = header.get("spins_in"), header.get("spins_out")
-    for spins in (spins_in, spins_out):
-        ints = isinstance(spins, list) and all(type(s) is int for s in spins)
-        if not ints:
-            raise ContainerError(f"filter-bank spins must be a list of integers, got {spins!r}")
-    pairs = [(block.get("spin_in"), block.get("spin_out")) for block in header.get("blocks", [])]
-    expected = sorted(itertools.product(spins_in, spins_out))
-    if any(type(s) is not int for pair in pairs for s in pair) or sorted(pairs) != expected:
-        raise ContainerError(f"filter-bank blocks {pairs} are not one per pair of {spins_in} x {spins_out}")
-    if any(arr.ndim != 3 or arr.shape != arrays[0].shape or arr.shape[-1] != L for arr in arrays):
-        raise ContainerError(f"filter-bank blocks must share one (C_in, C_out, {L}) shape")
-    blocks = dict(zip(pairs, arrays))
-    with _layer_values("filter-bank"):
-        weights = np.concatenate([np.concatenate([blocks[si, so] for so in spins_out], axis=1) for si in spins_in])
-        return FilterBank(weights, spins_in, spins_out)
-
-
-def _pack_roles(kind: str, by_role: dict, **fields) -> tuple[dict, list]:
-    arrays = [np.asarray(arr, dtype=complex) for arr in by_role.values()]
-    blocks = [{"shape": list(arr.shape), "role": role} for role, arr in zip(by_role, arrays)]
-    return {"domain": "parameters", "kind": kind, "convention": CONVENTION, **fields, "blocks": blocks}, arrays
-
-
-def _read_roles(header: dict, arrays, kind: str, required, optional=(), real=()) -> dict:
-    """The arrays of a parameter container by block role: each required role once, each
-    optional role at most once and no other role; the arrays of `real` roles come back real."""
-    _check_tags(header, kind=kind)
-    roles = [block.get("role") for block in header.get("blocks", [])]
-    known = all(role in required + optional for role in roles)
-    if not known or len(set(roles)) < len(roles) or not set(required) <= set(roles):
-        raise ContainerError(f"{kind} block roles {roles} must be each of {required} once, "
-                             f"plus at most one of each of {optional}")
-    _check_finite(arrays)
-    if any(role in real and np.any(arr.imag != 0) for role, arr in zip(roles, arrays)):
-        raise ContainerError(f"{kind} blocks {real} are real but have a nonzero imaginary part")
-    return {role: arr.real if role in real else arr for role, arr in zip(roles, arrays)}
-
-
-def pack_batch_norm(state) -> tuple[dict, list]:
-    by_role = {"scale": state.scale, "bias": state.bias}
-    if state.running_variance is not None:
-        by_role["running_variance"] = state.running_variance
-    return _pack_roles("batch-norm", by_role, momentum=state.momentum, epsilon=state.epsilon)
-
-
-def unpack_batch_norm(header: dict, arrays):
-    from .layers import BatchNormState
-
-    by_role = _read_roles(header, arrays, "batch-norm", ("scale", "bias"), ("running_variance",),
-                          real=("scale", "running_variance"))
-    numbers = [header.get("momentum"), header.get("epsilon")]
-    if any(type(x) not in (int, float) for x in numbers):
-        raise ContainerError(f"batch-norm momentum and epsilon must be numbers, got {numbers}")
-    with _layer_values("batch-norm"):
-        return BatchNormState(by_role["scale"], by_role["bias"], by_role.get("running_variance"), *map(float, numbers))
-
-
-def pack_phase_collapse(params) -> tuple[dict, list]:
-    return _pack_roles("phase-collapse", {"w1": params.w1, "w2": params.w2, "bias": params.bias})
-
-
-def unpack_phase_collapse(header: dict, arrays):
-    from .layers import PhaseCollapseParams
-
-    by_role = _read_roles(header, arrays, "phase-collapse", ("w1", "w2", "bias"), real=("w2",))
-    with _layer_values("phase-collapse"):
-        return PhaseCollapseParams(by_role["w1"], by_role["w2"], by_role["bias"])

@@ -8,7 +8,6 @@ rotate spectrally, inverse transform, apply the layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +88,6 @@ def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int
         mean_rel_err=float(np.mean(errors)) if len(errors) else np.nan,
         seed=seed,
     )
-
-
-def write_reports_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "L", "n_rotations", "max_rel_err", "mean_rel_err", "seed"])
-        for r in reports:
-            writer.writerow([r.layer, r.band_limit, r.n_rotations, r.max_rel_err, r.mean_rel_err, r.seed])
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ class BatchNormState:
             raise ValueError(f"scale, bias and running variance must share one (channels,) shape, got {shapes}")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError(f"momentum must be in (0, 1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.running_variance is not None and np.any(np.asarray(self.running_variance) < 0):
             raise ValueError("running variance must be nonnegative")
 

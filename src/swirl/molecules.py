@@ -176,7 +176,12 @@ def featurize(
     if not powers:
         raise ValueError("powers must be nonempty")
     sigma = DEFAULT_SPREAD if sigma is None else float(sigma)
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     z_index = {z: i for i, z in enumerate(vocabulary)}
+    repeated = sorted({z for z in vocabulary if vocabulary.count(z) > 1})
+    if repeated:
+        raise ValueError(f"vocabulary repeats {', '.join(NUMBER_TO_SYMBOL.get(z, str(z)) for z in repeated)}")
     unknown = set(int(z) for z in mol.atomic_numbers) - set(vocabulary)
     if unknown:
         names = ", ".join(NUMBER_TO_SYMBOL.get(z, str(z)) for z in sorted(unknown))

@@ -251,12 +251,11 @@ def _forward_block(samples, spin, L, tables, config):
     return (y[mu, l, half] * phases[:, None]).T.reshape(lead + (L * L,))
 
 
-def g_matrix(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> np.ndarray:
+def g_matrix(coeffs: SpinCoefficients, tables: WignerTables) -> np.ndarray:
     """The synthesis G matrix, shape (batch, channels, 2L-1, 2L-1).
 
     Satisfies G_{m',m} = (-1)^(m+s) G_{-m',m} exactly: the rows m' >= 0 are
-    computed and unfolded, the same on both paths (config is accepted for
-    symmetry with forward and inverse).
+    computed and unfolded.
     """
     L = coeffs.band_limit
     _check_tables(L, tables)

@@ -183,6 +183,15 @@ def test_featurize_explicit_vocabulary(tmp_path, water_xyz):
     assert arrays[0].shape == (3, 6, 16, 16)
 
 
+def test_featurize_rejects_a_repeated_vocabulary_entry(tmp_path, capsys, water_xyz):
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(water_xyz)
+    out = tmp_path / "w.features"
+    assert main(["featurize", str(xyz), "--resolution", "8", "--vocabulary", "H,H,O", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: vocabulary repeats H\n"
+    assert not out.exists()
+
+
 def test_featurize_missing_file(tmp_path):
     assert main(["featurize", str(tmp_path / "nope.xyz"), "--output", str(tmp_path / "x")]) == 1
 

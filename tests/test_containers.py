@@ -126,139 +126,6 @@ def test_empty_batch_block(tmp_path):
     assert sig2.samples.shape == (0, 1, 8, 8)
 
 
-def test_filter_bank_roundtrip(tmp_path, rng):
-    from swirl.containers import pack_filter_bank, unpack_filter_bank
-    from swirl.layers import FilterBank, spectral_conv
-
-    bank = FilterBank.random(rng, (0, 1), (0, 1), 2, 3, 8)
-    path = tmp_path / "bank.swirl"
-    write_container(path, *pack_filter_bank(bank))
-    header, arrays = read_container(path)
-    bank2 = unpack_filter_bank(header, arrays)
-    assert bank2.spins_in == (0, 1) and bank2.channels_out == 3
-    np.testing.assert_array_equal(bank2.weights, bank.weights)
-    co = random_coefficients(rng, 1, np.array([0, 0, 1, 1]), 8)
-    np.testing.assert_array_equal(spectral_conv(co, bank2).coeffs, spectral_conv(co, bank).coeffs)
-
-
-def test_filter_bank_reads_per_pair_blocks(tmp_path, rng):
-    # A container written block by block, one (C_in, C_out, L) block per
-    # spin pair in ascending pair order, reads into the dense taps (rows and
-    # columns in the order of spins_in and spins_out) and re-packs to the
-    # same bytes.
-    from swirl.containers import pack_filter_bank, unpack_filter_bank
-
-    spins_in, spins_out, cin, cout, L = (1, 0), (0, -2, 1), 2, 3, 5
-    pairs = sorted((si, so) for si in spins_in for so in spins_out)
-    blocks = {}
-    for si, so in pairs:
-        w = rng.normal(size=(cin, cout, L)) + 1j * rng.normal(size=(cin, cout, L))
-        w[..., : max(abs(si), abs(so))] = 0.0
-        blocks[(si, so)] = w
-    header = {
-        "domain": "parameters",
-        "kind": "filter-bank",
-        "convention": CONVENTION,
-        "band_limit": L,
-        "spins_in": list(spins_in),
-        "spins_out": list(spins_out),
-        "blocks": [{"shape": [cin, cout, L], "spin_in": si, "spin_out": so} for si, so in pairs],
-    }
-    p1, p2 = tmp_path / "a.swirl", tmp_path / "b.swirl"
-    write_container(p1, header, [blocks[pair] for pair in pairs])
-    bank = unpack_filter_bank(*read_container(p1))
-    assert bank.weights.shape == (len(spins_in) * cin, len(spins_out) * cout, L)
-    for i, si in enumerate(spins_in):
-        for o, so in enumerate(spins_out):
-            block = bank.weights[i * cin : (i + 1) * cin, o * cout : (o + 1) * cout]
-            np.testing.assert_array_equal(block, blocks[(si, so)])
-    write_container(p2, *pack_filter_bank(bank))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def _set_block(i, **fields):
-    def edit(header, arrays):
-        header["blocks"][i].update(fields)
-    return edit
-
-
-def _append_copy_of_first(header, arrays):
-    header["blocks"].append(dict(header["blocks"][0]))
-    arrays.append(arrays[0])
-
-
-def _drop_last(header, arrays):
-    header["blocks"].pop()
-    arrays.pop()
-
-
-def _shrink_second(header, arrays):
-    arrays[1] = arrays[1][:1]
-    header["blocks"][1]["shape"] = list(arrays[1].shape)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(_set_block(1, spin_in=0, spin_out=0), id="duplicated-pair"),
-        pytest.param(_append_copy_of_first, id="extra-duplicate-block"),
-        pytest.param(_drop_last, id="missing-pair"),
-        pytest.param(_set_block(3, spin_in=5), id="spin-not-in-spins_in"),
-        pytest.param(_set_block(0, spin_in=[0]), id="list-spin_in"),
-        pytest.param(_set_block(0, spin_out=False), id="bool-spin_out"),
-        pytest.param(lambda h, a: h.update(band_limit=h["band_limit"] + 1), id="band_limit-disagrees"),
-        pytest.param(lambda h, a: h.update(band_limit=[4]), id="list-band_limit"),
-        pytest.param(lambda h, a: h.pop("spins_out"), id="missing-spins_out"),
-        pytest.param(lambda h, a: h.update(spins_in=[0, 0]), id="repeated-spins_in"),
-        pytest.param(lambda h, a: h.update(spins_in=[0, True]), id="bool-spins_in"),
-        pytest.param(_shrink_second, id="block-shapes-differ"),
-    ],
-)
-def test_malformed_filter_bank_rejected(tmp_path, rng, edit):
-    from swirl.containers import pack_filter_bank, unpack_filter_bank
-    from swirl.layers import FilterBank
-
-    header, arrays = pack_filter_bank(FilterBank.random(rng, (0, 1), (0, 1), 2, 3, 4))
-    arrays = list(arrays)
-    edit(header, arrays)
-    path = tmp_path / "bank.swirl"
-    write_container(path, header, arrays)
-    with pytest.raises(ContainerError):
-        unpack_filter_bank(*read_container(path))
-
-
-def test_batch_norm_state_roundtrip(tmp_path, rng):
-    from swirl.containers import pack_batch_norm, unpack_batch_norm
-    from swirl.layers import BatchNormState, spectral_batch_norm
-
-    co = random_coefficients(rng, 2, np.array([0, 1]), 8)
-    _, state = spectral_batch_norm(co, BatchNormState.initialize(2, momentum=0.2), "train")
-    path = tmp_path / "bn.swirl"
-    write_container(path, *pack_batch_norm(state))
-    header, arrays = read_container(path)
-    state2 = unpack_batch_norm(header, arrays)
-    np.testing.assert_array_equal(state2.running_variance, state.running_variance)
-    assert state2.momentum == 0.2
-    out1, _ = spectral_batch_norm(co, state, "eval")
-    out2, _ = spectral_batch_norm(co, state2, "eval")
-    np.testing.assert_array_equal(out1.coeffs, out2.coeffs)
-
-
-def test_phase_collapse_params_roundtrip(tmp_path, rng):
-    from swirl.containers import pack_phase_collapse, unpack_phase_collapse
-    from swirl.layers import PhaseCollapseParams
-
-    params = PhaseCollapseParams.random(rng, 2, 4)
-    path = tmp_path / "pc.swirl"
-    write_container(path, *pack_phase_collapse(params))
-    header, arrays = read_container(path)
-    params2 = unpack_phase_collapse(header, arrays)
-    np.testing.assert_array_equal(params2.w1, params.w1)
-    np.testing.assert_array_equal(params2.w2, params.w2)
-    np.testing.assert_array_equal(params2.bias, params.bias)
-    assert not np.iscomplexobj(params2.w2)
-
-
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -477,70 +344,3 @@ def test_pack_blocks_round_trip_keeps_extra_keys(tmp_path_factory, spatial, band
     assert all(header2[k] == v for k, v in extra.items() if k not in _GEOMETRY_KEYS)
     for block in header2["blocks"]:
         assert all(block[k] == v for k, v in block_extra.items() if k not in ("shape", "spins"))
-
-
-def _roles(*names):
-    def edit(header, arrays):
-        header["blocks"] = [{**block, "role": name} for block, name in zip(header["blocks"], names)]
-    return edit
-
-
-def _set_array(i, value):
-    def edit(header, arrays):
-        arrays[i] = np.asarray(value, dtype=complex)
-        header["blocks"][i]["shape"] = list(arrays[i].shape)
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(_roles("scale", "scale", "running_variance"), id="duplicated-role"),
-        pytest.param(_roles("scale", "offset", "running_variance"), id="unknown-role"),
-        pytest.param(lambda h, a: h["blocks"][1].pop("role"), id="missing-role-key"),
-        pytest.param(lambda h, a: (h["blocks"].pop(0), a.pop(0)), id="missing-scale"),
-        pytest.param(lambda h, a: h.update(momentum=[0.1]), id="list-momentum"),
-        pytest.param(lambda h, a: h.update(epsilon="1e-5"), id="text-epsilon"),
-        pytest.param(lambda h, a: h.update(momentum=True), id="bool-momentum"),
-        pytest.param(_set_array(1, [0.0]), id="short-bias"),
-        pytest.param(_set_array(2, [1.0, 1.0, 1.0]), id="long-running_variance"),
-        pytest.param(_set_array(0, [[1.0, 1.0]]), id="2d-scale"),
-        pytest.param(_set_array(0, [1.0, 1.0 + 0.5j]), id="complex-scale"),
-        pytest.param(_set_array(1, [np.nan, 0.0]), id="nan-bias"),
-    ],
-)
-def test_malformed_batch_norm_rejected(tmp_path, rng, edit):
-    from swirl.containers import pack_batch_norm, unpack_batch_norm
-    from swirl.layers import BatchNormState
-
-    state = BatchNormState(np.ones(2), np.zeros(2, dtype=complex), np.ones(2), 0.1, 1e-5)
-    header, arrays = pack_batch_norm(state)
-    edit(header, arrays)
-    path = tmp_path / "bn.swirl"
-    write_container(path, header, arrays)
-    with pytest.raises(ContainerError):
-        unpack_batch_norm(*read_container(path))
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(_roles("w1", "w1", "bias"), id="duplicated-role"),
-        pytest.param(lambda h, a: (h["blocks"].pop(), a.pop()), id="missing-bias"),
-        pytest.param(_set_array(0, np.ones((2, 3))), id="wrong-shape-w1"),
-        pytest.param(_set_array(1, np.ones(4)), id="1d-w2"),
-        pytest.param(_set_array(1, np.ones((3, 4))), id="w2-rows-disagree"),
-        pytest.param(_set_array(2, np.ones(3)), id="long-bias"),
-        pytest.param(_set_array(1, np.full((2, 4), 1.0 + 1.0j)), id="complex-w2"),
-    ],
-)
-def test_malformed_phase_collapse_rejected(tmp_path, rng, edit):
-    from swirl.containers import pack_phase_collapse, unpack_phase_collapse
-    from swirl.layers import PhaseCollapseParams
-
-    header, arrays = pack_phase_collapse(PhaseCollapseParams.random(rng, 2, 4))
-    edit(header, arrays)
-    path = tmp_path / "pc.swirl"
-    write_container(path, header, arrays)
-    with pytest.raises(ContainerError):
-        unpack_phase_collapse(*read_container(path))

@@ -10,7 +10,6 @@ from swirl.equivariance import (
     rotate_coefficients,
     rotate_signal,
     smooth_harness_signal,
-    write_reports_csv,
 )
 from swirl.layers import FilterBank, PhaseCollapseParams, phase_collapse, spectral_conv
 from swirl.signal import SpinCoefficients, degree_slice
@@ -173,18 +172,6 @@ def test_smooth_harness_signal_properties(rng):
     zero = sig.spins == 0
     assert np.abs(sig.samples[:, zero].imag).max() < 1e-10
     assert sig.samples[:, zero].real.min() > 0.0
-
-
-def test_write_reports_csv(tmp_path, rng):
-    L = 4
-    co = random_coefficients(rng, 1, np.array([0]), L)
-    report = equivariance_error(lambda c: c, co, random_rotations(2, 0), "identity", seed=0)
-    path = tmp_path / "reports.csv"
-    write_reports_csv([report], path)
-    text = path.read_text().splitlines()
-    assert text[0] == "# swirl-csv v1"
-    assert text[1].split(",") == ["layer", "L", "n_rotations", "max_rel_err", "mean_rel_err", "seed"]
-    assert text[2].startswith("identity,4,2,")
 
 
 def test_conv_equivariance_at_L32(rng):

@@ -359,8 +359,9 @@ def test_batch_norm_train_requires_batch(rng):
 def test_batch_norm_state_validation():
     with pytest.raises(ValueError):
         BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, momentum=1.5)
-    with pytest.raises(ValueError):
-        BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, epsilon=0.0)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, epsilon=epsilon)
     with pytest.raises(ValueError):
         BatchNormState(np.ones(1), np.zeros(1, dtype=complex), np.array([-1.0]))
 

@@ -198,6 +198,18 @@ def test_featurize_unknown_type_rejected(water_xyz):
         featurize(parse_xyz(water_xyz), (1,), make_grid(8))
 
 
+def test_featurize_repeated_vocabulary_rejected(water_xyz):
+    # a repeated type would leave its first channel all zeros
+    with pytest.raises(ValueError, match="vocabulary repeats H$"):
+        featurize(parse_xyz(water_xyz), (1, 1, 8), make_grid(8))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), 0.0, -0.5, float("inf")])
+def test_featurize_rejects_a_sigma_that_is_not_finite_and_positive(water_xyz, sigma):
+    with pytest.raises(ValueError, match=f"sigma must be finite and positive, got {sigma}"):
+        featurize(parse_xyz(water_xyz), (1, 8), make_grid(8), sigma=sigma)
+
+
 def test_featurize_empty_powers_rejected(water_xyz):
     with pytest.raises(ValueError, match="powers"):
         featurize(parse_xyz(water_xyz), (1, 8), make_grid(8), powers=())

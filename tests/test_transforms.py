@@ -184,12 +184,12 @@ def test_spin_conjugation_through_forward_and_inverse(case):
 
 
 def test_g_symmetry(rng):
-    # G_{m'm} = (-1)^(m+s) G_{(-m')m}, computed on the full path without
-    # imposing the symmetry.
+    # G_{m'm} = (-1)^(m+s) G_{(-m')m}. g_matrix computes the rows m' >= 0 and
+    # unfolds the rest, so this checks the signs and the row order of that unfolding.
     for spin in (-1, 0, 1, 2):
         L = 8
         co = random_coefficients(rng, 1, np.array([spin]), L)
-        G = g_matrix(co, compute_delta(L), FULL)[0, 0]
+        G = g_matrix(co, compute_delta(L))[0, 0]
         m = np.arange(-(L - 1), L)
         signs = np.where((m + spin) % 2 == 0, 1.0, -1.0)
         assert np.abs(G - signs * G[::-1, :]).max() / np.abs(G).max() < 1e-12
@@ -306,7 +306,7 @@ def test_matches_per_degree_sums(rng, monkeypatch, config):
                 "p,pm,...m->...pm", D[::-1, l - spin], D[::-1], scale * co.coeffs[..., degree_slice(l)]
             )
         assert _max_rel(forward(_signal(samples, [spin, spin], grid), tables, config).coeffs, want_co) < 1e-12
-        assert _max_rel(g_matrix(co, tables, config), want_G) < 1e-12
+        assert _max_rel(g_matrix(co, tables), want_G) < 1e-12
 
 
 
@@ -347,17 +347,17 @@ def test_batched_layout_matches_one_at_a_time(layout):
     co = random_coefficients(rng, batch, spins, L)
     samples = rng.normal(size=(batch, len(spins), 2 * L, 2 * L)) + 1j * rng.normal(size=(batch, len(spins), 2 * L, 2 * L))
     sig = _signal(samples, spins, grid)
+    G = g_matrix(co, tables)
     for config in ALL_CONFIGS:
         fwd = forward(sig, tables, config).coeffs
         inv = inverse(co, tables, config).samples
-        G = g_matrix(co, tables, config)
         for b in range(batch):
             for c, spin in enumerate(spins):
                 one_sig = _signal(samples[b : b + 1, c : c + 1], [spin], grid)
                 one_co = SpinCoefficients(co.coeffs[b : b + 1, c : c + 1], np.array([spin]), L)
                 assert _max_rel(fwd[b, c], forward(one_sig, tables, config).coeffs[0, 0]) < 1e-12
                 assert _max_rel(inv[b, c], inverse(one_co, tables, config).samples[0, 0]) < 1e-12
-                assert _max_rel(G[b, c], g_matrix(one_co, tables, config)[0, 0]) < 1e-12
+                assert _max_rel(G[b, c], g_matrix(one_co, tables)[0, 0]) < 1e-12
         back = forward(SpinSignal(inv, spins, grid), tables, config).coeffs
         assert _max_rel(back, co.coeffs) < 1e-10
 

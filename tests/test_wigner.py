@@ -81,6 +81,30 @@ def test_delta_border_rows_match_factorial_closed_form(l):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("l", [127, 255])
+def test_delta_interior_entries_match_the_exact_integer_sum(l):
+    # At beta = pi/2 the sum formula has integer terms:
+    #   Delta^l_{a,b} = 2^-l sqrt((l+a)!(l-a)! / ((l+b)!(l-b)!)) sum_k (-1)^(a-b+k) C(l+b, k) C(l-b, l-a-k).
+    # The sum is exact in Python integers (in floats, or at 40 digits, it
+    # would cancel about 2^l); only the square root is taken at 40 digits.
+    # 200 seeded entries of the stored quadrant 0 <= a, b <= l, corners included.
+    import mpmath
+    from math import comb, factorial
+
+    sample = np.random.default_rng(l).integers(0, l + 1, size=(196, 2))
+    pairs = [(0, 0), (0, l), (l, 0), (l, l)] + [(int(a), int(b)) for a, b in sample]
+    delta = compute_delta(256).delta
+    worst = 0.0
+    with mpmath.workdps(40):
+        for a, b in pairs:
+            terms = range(max(0, b - a), l - a + 1)
+            total = sum((-1) ** (a - b + k) * comb(l + b, k) * comb(l - b, l - a - k) for k in terms)
+            ratio = mpmath.mpf(factorial(l + a) * factorial(l - a)) / (factorial(l + b) * factorial(l - b))
+            exact = total * mpmath.sqrt(ratio) / mpmath.mpf(2) ** l
+            worst = max(worst, abs(float(delta[a, l, b]) - exact))
+    assert worst <= 1e-14
+
+
 def test_delta_orthogonal_at_the_top_degree_of_l256():
     d = compute_delta(256)[255]
     assert np.abs(d @ d.T - np.eye(511)).max() <= 1e-13
