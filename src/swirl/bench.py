@@ -9,13 +9,13 @@ backend is faster (that is hardware-dependent).
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equivariance import CSV_HEADER_COMMENT, max_rel_error, random_coefficients
+from .containers import write_report_csv
+from .equivariance import max_rel_error, random_coefficients
 from .grid import make_grid
 from .transforms import FOURIER_BACKENDS, SYMMETRY_PATHS, TransformConfig, forward, inverse
 from .wigner import compute_delta
@@ -64,20 +64,11 @@ class BenchRow:
 
 
 def run_bench(spec: BenchSpec) -> list[BenchRow]:
-    rows = []
-    for n in spec.resolutions:
-        try:
-            rows.extend(_bench_resolution(n, spec))
-        except MemoryError:
-            for backend in spec.backends:
-                for path in spec.paths:
-                    rows.append(BenchRow(n, backend, path, spec.repetitions, np.nan, np.nan, np.nan, "oom"))
-    return rows
+    return [row for n in spec.resolutions for row in _bench_resolution(n, spec)]
 
 
 def _bench_resolution(n: int, spec: BenchSpec) -> list[BenchRow]:
     L = n // 2
-    tables = compute_delta(L)
     rng = np.random.default_rng(spec.seed)  # same inputs for every cell
     coeffs = random_coefficients(rng, 1, np.array([0, 1]), L)
     reference_samples = None
@@ -86,8 +77,8 @@ def _bench_resolution(n: int, spec: BenchSpec) -> list[BenchRow]:
     for backend in spec.backends:
         for path in spec.paths:
             config = TransformConfig(fourier_backend=backend, symmetry_path=path)
-            try:
-                signal, back, times = _time_cell(coeffs, tables, config, spec)
+            try:  # compute_delta is cached, and raises MemoryError for tables larger than the host
+                signal, back, times = _time_cell(coeffs, compute_delta(L), config, spec)
             except MemoryError:
                 rows.append(BenchRow(n, backend, path, spec.repetitions, np.nan, np.nan, np.nan, "oom"))
                 continue
@@ -116,23 +107,12 @@ def _time_cell(coeffs, tables, config, spec):
 
 
 def write_bench_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "backend", "path", "repetitions", "median_s", "iqr_s", "cross_check_max_rel", "status", "pass"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.resolution,
-                    r.backend,
-                    r.path,
-                    r.repetitions,
-                    f"{r.median_s:.6e}",
-                    f"{r.iqr_s:.6e}",
-                    f"{r.cross_check:.6e}",
-                    r.status,
-                    r.passed,
-                ]
-            )
+    write_report_csv(
+        path,
+        ["n", "backend", "path", "repetitions", "median_s", "iqr_s", "cross_check_max_rel", "status", "pass"],
+        (
+            [r.resolution, r.backend, r.path, r.repetitions, f"{r.median_s:.6e}", f"{r.iqr_s:.6e}",
+             f"{r.cross_check:.6e}", r.status, r.passed]
+            for r in rows
+        ),
+    )

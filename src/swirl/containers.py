@@ -1,13 +1,18 @@
-"""Container file format: one JSON header line, then raw complex128 payload.
+"""swirl's file formats: the container and the CSV report.
 
-The header is canonical JSON (sorted keys, compact separators) terminated
-by a newline; arrays follow back to back as little-endian complex128 in C
+A container is one JSON header line, then raw complex128 payload.  The
+header is canonical JSON (sorted keys, compact separators) terminated by a
+newline; arrays follow back to back as little-endian complex128 in C
 order.  Coefficient payload ordering is (batch, channel, degree, order)
 with the order ascending from -degree within each degree.
+
+A report is a CSV file whose first line is the format comment, then a
+header row and one row per record.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -21,6 +26,7 @@ from .signal import SpinCoefficients, SpinSignal, num_coefficients
 FORMAT_NAME = "swirl-container"
 FORMAT_VERSION = 1
 CONVENTION = "swirl-swsft-v1"
+CSV_HEADER_COMMENT = "# swirl-csv v1"
 # the header fields that pack_blocks writes and the block readers check
 _GEOMETRY = ("domain", "convention", "grid_n", "band_limit", "ordering")
 
@@ -117,14 +123,6 @@ def pack_blocks(items, header: dict | None = None) -> tuple[dict, list]:
     return header, arrays
 
 
-def pack_signal(signal: SpinSignal) -> tuple[dict, list]:
-    return pack_blocks([signal])
-
-
-def pack_coefficients(coeffs: SpinCoefficients) -> tuple[dict, list]:
-    return pack_blocks([coeffs])
-
-
 def header_positive_int(header: dict, field: str) -> int:
     """The header field as a positive int; anything else (bool, list, ...) is a ContainerError."""
     value = header.get(field)
@@ -170,3 +168,11 @@ def unpack_coefficients(header: dict, arrays) -> list[SpinCoefficients]:
             raise ContainerError(f"coefficient block shape {arr.shape} does not end in {num_coefficients(L)} entries")
     return [SpinCoefficients(arr, spins, L) for arr, spins in blocks]
 
+
+def write_report_csv(path, columns, rows) -> None:
+    """The format comment, the column names, then one CSV line per row of already formatted values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER_COMMENT + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)

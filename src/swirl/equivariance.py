@@ -17,8 +17,6 @@ from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
 from .transforms import forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, _rotation_phases, compute_delta
 
-CSV_HEADER_COMMENT = "# swirl-csv v1"
-
 
 def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerTables) -> SpinCoefficients:
     """Apply a rotation degree-wise: ghat_l = D^l(rot) @ fhat_l; spins unchanged."""
@@ -43,7 +41,6 @@ class EquivarianceReport:
     band_limit: int
     n_rotations: int
     max_rel_err: float
-    mean_rel_err: float
     seed: int
 
 
@@ -79,13 +76,11 @@ def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int
         rhs = _rotate(base, rot)
         num = np.linalg.norm(_flat(lhs) - _flat(rhs))
         errors.append(num / denom if denom > 0 else np.nan)
-    errors = np.asarray(errors)
     return EquivarianceReport(
         layer=layer_name,
         band_limit=band_limit,
         n_rotations=len(errors),
         max_rel_err=float(np.max(errors)) if len(errors) else np.nan,
-        mean_rel_err=float(np.mean(errors)) if len(errors) else np.nan,
         seed=seed,
     )
 
@@ -102,21 +97,13 @@ def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int
 # ---------------------------------------------------------------------------
 
 
-def random_coefficients(
-    rng: np.random.Generator,
-    batch: int,
-    spins,
-    band_limit: int,
-    max_degree: int | None = None,
-) -> SpinCoefficients:
-    """Dense random coefficients, optionally truncated above max_degree."""
+def random_coefficients(rng: np.random.Generator, batch: int, spins, band_limit: int) -> SpinCoefficients:
+    """Dense random coefficients, zero below each channel's spin."""
     spins = np.asarray(spins, dtype=int)
     co = rng.normal(size=(batch, len(spins), num_coefficients(band_limit)))
     co = co + 1j * rng.normal(size=co.shape)
     for c, s in enumerate(spins):
         co[:, c, : num_coefficients(abs(int(s)))] = 0.0
-    if max_degree is not None:
-        co[..., num_coefficients(max_degree + 1) :] = 0.0
     return SpinCoefficients(co, spins, band_limit)
 
 

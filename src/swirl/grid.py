@@ -132,11 +132,6 @@ def frequency_weights(n: int) -> np.ndarray:
     return w
 
 
-def quadrature_weights(grid: SphericalGrid) -> np.ndarray:
-    """Per-colatitude-frequency weight array for this grid (pure function of n)."""
-    return frequency_weights(grid.n)
-
-
 @lru_cache(maxsize=None)
 def weight_matrix(n: int) -> np.ndarray:
     """Toeplitz application of the frequency weights.

@@ -16,6 +16,9 @@ from .signal import SpinCoefficients, SpinSignal, degree_slice, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
 from .wigner import compute_delta
 
+_MOMENTUM = 0.1  # weight of the batch variance in the running-variance update
+_EPSILON = 1e-5  # added to the variance before the square root
+
 
 def _grouped_spins(spin_set, channels: int) -> np.ndarray:
     return np.repeat(np.asarray(spin_set, dtype=int), channels)
@@ -42,6 +45,8 @@ class FilterBank:
         object.__setattr__(self, "spins_in", spins_in)
         object.__setattr__(self, "spins_out", spins_out)
         w = np.array(self.weights, dtype=complex)
+        if not np.isfinite(w).all():
+            raise ValueError("filter bank weights must be finite")
         distinct = len(set(spins_in)) == len(spins_in) > 0 and len(set(spins_out)) == len(spins_out) > 0
         if not distinct or w.ndim != 3 or w.shape[0] % len(spins_in) or w.shape[1] % len(spins_out):
             raise ValueError(f"taps of shape {w.shape} do not split into distinct spins {spins_in} x {spins_out}")
@@ -62,11 +67,6 @@ class FilterBank:
     @property
     def band_limit(self) -> int:
         return self.weights.shape[2]
-
-    @classmethod
-    def identity(cls, spins, channels: int, band_limit: int) -> "FilterBank":
-        """Spin- and channel-diagonal bank with unit taps (a no-op)."""
-        return cls(np.eye(len(spins) * channels, dtype=complex)[:, :, None] * np.ones(band_limit), spins, spins)
 
     @classmethod
     def random(
@@ -95,13 +95,6 @@ class FilterBank:
                 if not spin_diagonal or si == so:
                     w[i * cin : (i + 1) * cin, o * cout : (o + 1) * cout] = taps
         return cls(w, spins_in, spins_out)
-
-    @classmethod
-    def projection(cls, rng, spins, channels_in, channels_out, band_limit) -> "FilterBank":
-        """1-tap (degree-constant) spin-diagonal bank for skip-path channel projection."""
-        return cls.random(
-            rng, spins, spins, channels_in, channels_out, band_limit, spin_diagonal=True, per_degree=False
-        )
 
 
 def spectral_conv(coeffs: SpinCoefficients, bank: FilterBank) -> SpinCoefficients:
@@ -138,15 +131,9 @@ class PhaseCollapseParams:
         if bias.ndim != 1 or w1.shape != bias.shape * 2 or w2.ndim != 2 or w2.shape[0] != bias.shape[0]:
             raise ValueError(f"shapes w1 {w1.shape}, w2 {w2.shape}, bias {bias.shape} are not (C0, C0), (C0, C), (C0,)")
         for name, value in (("w1", w1), ("w2", w2), ("bias", bias)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"phase-collapse {name} must be finite")
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def identity(cls, spin_zero_channels: int, total_channels: int) -> "PhaseCollapseParams":
-        return cls(
-            np.eye(spin_zero_channels, dtype=complex),
-            np.zeros((spin_zero_channels, total_channels)),
-            np.zeros(spin_zero_channels, dtype=complex),
-        )
 
     @classmethod
     def random(cls, rng, spin_zero_channels, total_channels) -> "PhaseCollapseParams":
@@ -181,29 +168,21 @@ class BatchNormState:
     scale: np.ndarray
     bias: np.ndarray
     running_variance: np.ndarray | None
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         shapes = [np.shape(a) for a in (self.scale, self.bias, self.running_variance) if a is not None]
         if len(shapes[0]) != 1 or len(set(shapes)) > 1:
             raise ValueError(f"scale, bias and running variance must share one (channels,) shape, got {shapes}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {self.momentum}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        for name in ("scale", "bias", "running_variance"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"batch-norm {name} must be finite")
         if self.running_variance is not None and np.any(np.asarray(self.running_variance) < 0):
             raise ValueError("running variance must be nonnegative")
 
     @classmethod
-    def initialize(cls, channels: int, momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            scale=np.ones(channels),
-            bias=np.zeros(channels, dtype=complex),
-            running_variance=None,
-            momentum=momentum,
-            epsilon=epsilon,
-        )
+    def initialize(cls, channels: int) -> "BatchNormState":
+        return cls(scale=np.ones(channels), bias=np.zeros(channels, dtype=complex), running_variance=None)
 
 
 def spectral_variance(coeffs: SpinCoefficients) -> np.ndarray:
@@ -241,14 +220,14 @@ def spectral_batch_norm(
         if state.running_variance is None:
             running = var
         else:
-            running = (1.0 - state.momentum) * state.running_variance + state.momentum * var
+            running = (1.0 - _MOMENTUM) * state.running_variance + _MOMENTUM * var
         new_state = replace(state, running_variance=running)
     else:
         if state.running_variance is None:
             raise ValueError("eval mode requires initialized running statistics")
         var = state.running_variance
         new_state = state
-    work = coeffs.coeffs * (state.scale / np.sqrt(var + state.epsilon))[:, None]
+    work = coeffs.coeffs * (state.scale / np.sqrt(var + _EPSILON))[:, None]
     zero = coeffs.spins == 0
     work[:, zero, 0] = state.bias[zero]
     return SpinCoefficients(work, coeffs.spins.copy(), coeffs.band_limit), new_state

@@ -161,7 +161,7 @@ def _synthesis(G, spin, L, backend, reduced):
     return _dft(spec, "synthesis", backend)
 
 
-def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend: str = "fft") -> np.ndarray:
+def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid) -> np.ndarray:
     """Inner products I_{m',m} of samples (..., n, n).
 
     I_{m',m} = integral of f(theta, phi) e^{-i m' theta} e^{-i m phi}
@@ -171,7 +171,7 @@ def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid, backend:
         raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
     if spin != int(spin) or abs(spin) >= grid.band_limit:
         raise ValueError(f"spin {spin} must be an integer with |spin| < band limit {grid.band_limit}")
-    return _analysis(samples, int(spin), grid.band_limit, backend, reduced=False)
+    return _analysis(samples, int(spin), grid.band_limit, "fft", reduced=False)
 
 
 def _check_tables(band_limit: int, tables: WignerTables):

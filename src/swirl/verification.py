@@ -8,14 +8,13 @@ budgets for the documented harness inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import reference
+from .containers import write_report_csv
 from .equivariance import (
-    CSV_HEADER_COMMENT,
     equivariance_error,
     max_rel_error,
     random_coefficients,
@@ -503,9 +502,8 @@ def run_verification(name_filter: str | None = None, seed: int = 0) -> list[Chec
 
 
 def write_rows_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["name", "L", "metric", "threshold", "pass"])
-        for row in rows:
-            writer.writerow([row.name, row.band_limit, f"{row.metric:.6e}", f"{row.threshold:.6e}", row.passed])
+    write_report_csv(
+        path,
+        ["name", "L", "metric", "threshold", "pass"],
+        ([r.name, r.band_limit, f"{r.metric:.6e}", f"{r.threshold:.6e}", r.passed] for r in rows),
+    )

@@ -129,10 +129,6 @@ class Rotation:
         return Rotation.from_matrix(self.matrix() @ other.matrix())
 
     @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(0.0, 0.0, 0.0)
-
-    @staticmethod
     def from_matrix(R: np.ndarray) -> "Rotation":
         sin_beta = np.hypot(R[0, 2], R[1, 2])
         beta = np.arctan2(sin_beta, R[2, 2])

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from swirl import grid as grid_mod
 from swirl.cli import main, parse
 from swirl.containers import (
-    pack_coefficients,
-    pack_signal,
+    pack_blocks,
     read_container,
     unpack_coefficients,
     unpack_signal,
@@ -84,7 +83,7 @@ def test_transform_roundtrip_via_files(tmp_path, rng):
     co = random_coefficients(rng, 2, np.array([0, 1]), 8)
     sig = inverse(co, compute_delta(8))
     src = tmp_path / "signal.swirl"
-    write_container(src, *pack_signal(sig))
+    write_container(src, *pack_blocks([sig]))
 
     spec = tmp_path / "spec.swirl"
     assert main(["transform", str(src), "forward", "--output", str(spec)]) == 0
@@ -101,11 +100,9 @@ def test_transform_roundtrip_via_files(tmp_path, rng):
 
 
 def test_transform_direction_mismatch(tmp_path, rng):
-    from swirl.containers import pack_coefficients
-
     co = random_coefficients(rng, 1, np.array([0]), 4)
     src = tmp_path / "spec.swirl"
-    write_container(src, *pack_coefficients(co))
+    write_container(src, *pack_blocks([co]))
     # spectral-tagged file cannot be forward-transformed again
     assert main(["transform", str(src), "forward", "--output", str(tmp_path / "x.swirl")]) == 1
 
@@ -115,7 +112,7 @@ def test_transform_empty_batch(tmp_path):
 
     sig = SpinSignal(np.zeros((0, 1, 8, 8), dtype=complex), np.array([0]), make_grid(8))
     src = tmp_path / "empty.swirl"
-    write_container(src, *pack_signal(sig))
+    write_container(src, *pack_blocks([sig]))
     out = tmp_path / "empty-out.swirl"
     assert main(["transform", str(src), "forward", "--output", str(out)]) == 0
     header, arrays = read_container(out)
@@ -130,7 +127,7 @@ def test_transform_tables_beyond_memory(tmp_path, capsys, rng, monkeypatch):
     from swirl import wigner
 
     src = tmp_path / "spec.swirl"
-    write_container(src, *pack_coefficients(random_coefficients(rng, 1, np.array([0]), 5)))
+    write_container(src, *pack_blocks([random_coefficients(rng, 1, np.array([0]), 5)]))
     compute_delta.cache_clear()
     monkeypatch.setattr(wigner, "host_memory", lambda: 999)
     assert main(["transform", str(src), "inverse", "--output", str(tmp_path / "x")]) == 1
@@ -271,6 +268,18 @@ def test_module_entry_point():
     assert "PASS" in proc.stdout
 
 
+def test_every_lazy_export_resolves():
+    # A stale entry in the lazy tables raises only when the name is first read.
+    import importlib
+
+    import swirl
+
+    for name in swirl._SUBMODULES:
+        assert getattr(swirl, name) is importlib.import_module(f"swirl.{name}")
+    for name, module in swirl._EXPORTS.items():
+        assert getattr(swirl, name) is getattr(importlib.import_module(f"swirl.{module}"), name)
+
+
 def test_verify_default_runs_everything(tmp_path):
     out = tmp_path / "full.csv"
     assert main(["verify", "--output", str(out)]) == 0
@@ -327,7 +336,7 @@ def test_transform_rejects_non_integer_geometry(tmp_path, capsys, rng, direction
     # grid_n and band_limit must be positive ints; a list, a bool or a
     # negative number is a clean error naming the field, not a traceback.
     co = random_coefficients(rng, 1, np.array([0]), 4)
-    header, arrays = pack_coefficients(co) if direction == "inverse" else pack_signal(inverse(co, compute_delta(4)))
+    header, arrays = pack_blocks([co]) if direction == "inverse" else pack_blocks([inverse(co, compute_delta(4))])
     header[field] = value
     src = tmp_path / "bad.swirl"
     write_container(src, header, arrays)
@@ -423,7 +432,7 @@ def test_featurize_output_from_config(tmp_path, water_xyz):
 def test_transform_output_from_config(tmp_path, rng):
     co = random_coefficients(rng, 1, np.array([0, 1]), 8)
     src = tmp_path / "signal.swirl"
-    write_container(src, *pack_signal(inverse(co, compute_delta(8))))
+    write_container(src, *pack_blocks([inverse(co, compute_delta(8))]))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"output={tmp_path / 'spec.swirl'}\nbackend=fft\npath=reduced\n")
     assert main(["transform", str(src), "forward", "--config", str(cfg)]) == 0
@@ -474,7 +483,7 @@ def test_help_shows_defaults(capsys):
 
 def test_transform_inverse_drops_the_spectral_ordering(tmp_path, rng):
     src = tmp_path / "spec.swirl"
-    write_container(src, *pack_coefficients(random_coefficients(rng, 1, np.array([0, 1]), 4)))
+    write_container(src, *pack_blocks([random_coefficients(rng, 1, np.array([0, 1]), 4)]))
     out = tmp_path / "back.swirl"
     assert main(["transform", str(src), "inverse", "--output", str(out)]) == 0
     header, _ = read_container(out)

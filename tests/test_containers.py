@@ -14,8 +14,6 @@ from swirl.containers import (
     FORMAT_VERSION,
     ContainerError,
     pack_blocks,
-    pack_coefficients,
-    pack_signal,
     read_container,
     unpack_coefficients,
     unpack_signal,
@@ -36,7 +34,7 @@ def test_signal_roundtrip(tmp_path, rng):
         grid,
     )
     path = tmp_path / "sig.swirl"
-    write_container(path, *pack_signal(sig))
+    write_container(path, *pack_blocks([sig]))
     header, arrays = read_container(path)
     (sig2,) = unpack_signal(header, arrays)
     np.testing.assert_array_equal(sig2.samples, sig.samples)
@@ -48,7 +46,7 @@ def test_signal_roundtrip(tmp_path, rng):
 def test_coefficients_roundtrip(tmp_path, rng):
     co = random_coefficients(rng, 2, np.array([0, 2]), 8)
     path = tmp_path / "co.swirl"
-    write_container(path, *pack_coefficients(co))
+    write_container(path, *pack_blocks([co]))
     header, arrays = read_container(path)
     (co2,) = unpack_coefficients(header, arrays)
     np.testing.assert_array_equal(co2.coeffs, co.coeffs)
@@ -60,7 +58,7 @@ def test_rewrite_is_bit_exact(tmp_path, rng):
     # read -> write with no transform produces identical bytes
     co = random_coefficients(rng, 1, np.array([0]), 4)
     p1, p2 = tmp_path / "a.swirl", tmp_path / "b.swirl"
-    write_container(p1, *pack_coefficients(co))
+    write_container(p1, *pack_blocks([co]))
     header, arrays = read_container(p1)
     write_container(p2, header, arrays)
     assert p1.read_bytes() == p2.read_bytes()
@@ -69,7 +67,7 @@ def test_rewrite_is_bit_exact(tmp_path, rng):
 def test_domain_mismatch_rejected(tmp_path, rng):
     co = random_coefficients(rng, 1, np.array([0]), 4)
     path = tmp_path / "co.swirl"
-    write_container(path, *pack_coefficients(co))
+    write_container(path, *pack_blocks([co]))
     header, arrays = read_container(path)
     with pytest.raises(ContainerError, match="spatial"):
         unpack_signal(header, arrays)
@@ -78,7 +76,7 @@ def test_domain_mismatch_rejected(tmp_path, rng):
 def test_convention_mismatch_rejected(tmp_path, rng):
     grid = make_grid(8)
     sig = inverse(random_coefficients(rng, 1, np.array([0]), 4), compute_delta(4))
-    header, arrays = pack_signal(sig)
+    header, arrays = pack_blocks([sig])
     header["convention"] = "other-convention"
     path = tmp_path / "sig.swirl"
     write_container(path, header, arrays)
@@ -104,7 +102,7 @@ def test_not_a_container(tmp_path):
 def test_truncated_payload(tmp_path, rng):
     co = random_coefficients(rng, 1, np.array([0]), 4)
     path = tmp_path / "co.swirl"
-    write_container(path, *pack_coefficients(co))
+    write_container(path, *pack_blocks([co]))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ContainerError, match="shorter"):
@@ -120,7 +118,7 @@ def test_empty_batch_block(tmp_path):
     grid = make_grid(8)
     sig = SpinSignal(np.zeros((0, 1, 8, 8), dtype=complex), np.array([0]), grid)
     path = tmp_path / "empty.swirl"
-    write_container(path, *pack_signal(sig))
+    write_container(path, *pack_blocks([sig]))
     header, arrays = read_container(path)
     (sig2,) = unpack_signal(header, arrays)
     assert sig2.samples.shape == (0, 1, 8, 8)
@@ -192,7 +190,7 @@ def test_read_from_a_pipe(tmp_path, rng):
     # A pipe's size is unknown until it is read; it reads like the file it carries.
     co = random_coefficients(rng, 1, np.array([0]), 4)
     path, fifo = tmp_path / "co.swirl", tmp_path / "fifo"
-    write_container(path, *pack_coefficients(co))
+    write_container(path, *pack_blocks([co]))
     os.mkfifo(fifo)
     writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
     writer.start()
@@ -284,7 +282,7 @@ def test_malformed_spatial_container_rejected(tmp_path, header, arrays, match):
     ],
 )
 def test_malformed_spectral_container_rejected(tmp_path, rng, edit, match):
-    header, arrays = pack_coefficients(random_coefficients(rng, 1, np.array([0]), 4))
+    header, arrays = pack_blocks([random_coefficients(rng, 1, np.array([0]), 4)])
     arrays = [a.copy() for a in arrays]
     edit(header, arrays)
     path = tmp_path / "bad.swirl"
@@ -297,7 +295,7 @@ def test_pack_refuses_non_finite_and_mixed_band_limits(rng):
     co = random_coefficients(rng, 1, np.array([0]), 4)
     bad = SpinSignal(np.full((1, 1, 8, 8), np.inf, dtype=complex), np.array([0]), make_grid(8))
     with pytest.raises(ContainerError, match="non-finite"):
-        pack_signal(bad)
+        pack_blocks([bad])
     with pytest.raises(ContainerError, match="one band limit"):
         pack_blocks([co, random_coefficients(rng, 1, np.array([0]), 5)])
     with pytest.raises(ContainerError, match="one band limit"):

@@ -8,7 +8,6 @@ from swirl.grid import (
     extend_to_torus,
     frequency_weights,
     make_grid,
-    quadrature_weights,
     spherical_integral,
     weight_matrix,
 )
@@ -85,8 +84,6 @@ def test_quadrature_weight_values():
     assert w[center - 1] == -1j * np.pi / 2
     assert w[center + 3] == 0.0
     assert w[center + 2] == pytest.approx(2.0 / (1 - 4))
-    # pure function of n, reusable across calls
-    assert quadrature_weights(make_grid(8)) is frequency_weights(8)
     assert len(w) == len(k)
 
 

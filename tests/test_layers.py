@@ -18,7 +18,8 @@ from swirl.layers import (
     spectral_unpool,
     spectral_variance,
 )
-from swirl.signal import SpinCoefficients, num_coefficients
+from swirl.grid import make_grid
+from swirl.signal import SpinCoefficients, SpinSignal, num_coefficients
 from swirl.transforms import forward, inverse
 from swirl.wigner import compute_delta
 
@@ -31,7 +32,7 @@ SQRT_4PI = 3.5449077018110318
 def test_conv_identity_bank(rng):
     L = 8
     co = random_coefficients(rng, 2, np.array([0, 0, 1, 1]), L)
-    bank = FilterBank.identity((0, 1), 2, L)
+    bank = FilterBank(np.eye(4, dtype=complex)[:, :, None] * np.ones(L), (0, 1), (0, 1))
     out = spectral_conv(co, bank)
     np.testing.assert_array_equal(out.coeffs, co.coeffs)
 
@@ -188,7 +189,7 @@ def test_dense_conv_matches_per_pair_sums(layout):
 def test_phase_collapse_identity_params(rng):
     L = 8
     sig = inverse(random_coefficients(rng, 1, np.array([0, 0, 1]), L), compute_delta(L))
-    params = PhaseCollapseParams.identity(2, 3)
+    params = PhaseCollapseParams(np.eye(2), np.zeros((2, 3)), np.zeros(2))
     out = phase_collapse(sig, params)
     np.testing.assert_array_equal(out.samples, sig.samples)
 
@@ -205,8 +206,6 @@ def test_phase_collapse_global_phase_invariance(rng):
     phase = np.exp(1j * 0.8)
     phased = sig.samples.copy()
     phased[:, 1:] *= phase
-    from swirl.signal import SpinSignal
-
     out = phase_collapse(sig, PhaseCollapseParams(w1, w2, b))
     out_phased = phase_collapse(SpinSignal(phased, spins, sig.grid), PhaseCollapseParams(w1, w2, b))
     np.testing.assert_allclose(out_phased.samples[:, 0], out.samples[:, 0], atol=1e-13)
@@ -220,6 +219,26 @@ def test_phase_collapse_leaves_nonzero_spins_bitwise(rng):
     params = PhaseCollapseParams.random(rng, 1, 3)
     out = phase_collapse(sig, params)
     np.testing.assert_array_equal(out.samples[:, 1:], sig.samples[:, 1:])
+
+
+@st.composite
+def _collapse_layouts(draw):
+    L = draw(st.integers(1, 16))
+    spins = draw(st.lists(st.integers(-(L - 1), L - 1), min_size=1, max_size=4))
+    spins.insert(draw(st.integers(0, len(spins))), 0)  # at least one spin-0 channel, anywhere
+    return make_grid(2 * L), np.array(spins), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_collapse_layouts())
+def test_phase_collapse_property_leaves_nonzero_spins_bitwise(layout):
+    # For any channel order and random parameters only the spin-0 channels change.
+    grid, spins, batch, seed = layout
+    rng = np.random.default_rng(seed)
+    shape = (batch, len(spins), grid.n, grid.n)
+    sig = SpinSignal(rng.normal(size=shape) + 1j * rng.normal(size=shape), spins, grid)
+    out = phase_collapse(sig, PhaseCollapseParams.random(rng, int((spins == 0).sum()), len(spins)))
+    np.testing.assert_array_equal(out.spins, spins)
+    np.testing.assert_array_equal(out.samples[:, spins != 0], sig.samples[:, spins != 0])
 
 
 def test_phase_collapse_rejects_complex_w2(rng):
@@ -265,7 +284,7 @@ def test_phase_collapse_rejects_params_of_another_layout(rng):
     sig = inverse(random_coefficients(rng, 1, np.array([0, 1]), L), compute_delta(L))
     for c0, ct in ((2, 2), (1, 3)):
         with pytest.raises(ValueError, match="spin-0 channels"):
-            phase_collapse(sig, PhaseCollapseParams.identity(c0, ct))
+            phase_collapse(sig, PhaseCollapseParams(np.eye(c0), np.zeros((c0, ct)), np.zeros(c0)))
 
 
 def test_phase_collapse_params_own_their_checks():
@@ -279,6 +298,27 @@ def test_phase_collapse_params_own_their_checks():
     ):
         with pytest.raises(ValueError, match="are not"):
             PhaseCollapseParams(w1, w2, bias)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: FilterBank(np.full((1, 1, 4), np.nan), (0,), (0,)), "weights"),
+        (lambda: PhaseCollapseParams([[np.nan]], [[1.0]], [0.0]), "w1"),
+        (lambda: PhaseCollapseParams([[1.0]], [[np.inf]], [0.0]), "w2"),
+        (lambda: PhaseCollapseParams([[1.0]], [[1.0]], [np.nan]), "bias"),
+        (lambda: BatchNormState(np.array([np.nan]), np.zeros(1, dtype=complex), None), "scale"),
+        (lambda: BatchNormState(np.ones(1), np.array([np.inf + 0j]), None), "bias"),
+        (lambda: BatchNormState(np.ones(1), np.zeros(1, dtype=complex), np.array([np.nan])), "running_variance"),
+        (lambda: BatchNormState(np.ones(1), np.zeros(1, dtype=complex), np.array([np.inf])), "running_variance"),
+    ],
+    ids=["bank-nan", "collapse-nan-w1", "collapse-inf-w2", "collapse-nan-bias", "bn-nan-scale", "bn-inf-bias",
+         "bn-nan-running", "bn-inf-running"],
+)
+def test_layer_parameters_reject_non_finite_values(build, field):
+    # Unchecked, each of these constructed and made every output of its layer NaN.
+    with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+        build()
 
 
 # --- spectral batch norm ----------------------------------------------------
@@ -341,12 +381,34 @@ def test_batch_norm_eval_uses_running_statistics(rng):
 def test_batch_norm_running_update_momentum(rng):
     L = 8
     co = random_coefficients(rng, 2, np.array([0]), L)
-    _, s1 = spectral_batch_norm(co, BatchNormState.initialize(1, momentum=0.25), "train")
+    _, s1 = spectral_batch_norm(co, BatchNormState.initialize(1), "train")
     half = SpinCoefficients(co.coeffs * 0.5, co.spins, L)
     _, s2 = spectral_batch_norm(half, s1, "train")
     var_half = spectral_variance(half).mean(axis=0)
-    expected = 0.75 * s1.running_variance + 0.25 * var_half
+    expected = 0.9 * s1.running_variance + 0.1 * var_half
     np.testing.assert_allclose(s2.running_variance, expected)
+
+
+@st.composite
+def _coefficient_cases(draw):
+    # (band limit from 1 to 16, spins below it, batch, seed)
+    L = draw(st.integers(1, 16))
+    spins = draw(st.lists(st.integers(-(L - 1), L - 1), min_size=1, max_size=4))
+    return L, np.array(spins), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_coefficient_cases())
+def test_batch_norm_eval_after_one_train_step_reproduces_train(case):
+    # The first train step stores the batch variance as the running variance,
+    # so eval mode on the same batch divides by the same numbers.
+    L, spins, batch, seed = case
+    rng = np.random.default_rng(seed)
+    co = random_coefficients(rng, batch, spins, L)
+    c = len(spins)
+    state = BatchNormState(rng.uniform(0.5, 2.0, c), rng.normal(size=c) + 1j * rng.normal(size=c), None)
+    train, warmed = spectral_batch_norm(co, state, "train")
+    evaluated, _ = spectral_batch_norm(co, warmed, "eval")
+    np.testing.assert_array_equal(evaluated.coeffs, train.coeffs)
 
 
 def test_batch_norm_train_requires_batch(rng):
@@ -357,11 +419,6 @@ def test_batch_norm_train_requires_batch(rng):
 
 
 def test_batch_norm_state_validation():
-    with pytest.raises(ValueError):
-        BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, momentum=1.5)
-    for epsilon in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="epsilon"):
-            BatchNormState(np.ones(1), np.zeros(1, dtype=complex), None, epsilon=epsilon)
     with pytest.raises(ValueError):
         BatchNormState(np.ones(1), np.zeros(1, dtype=complex), np.array([-1.0]))
 
@@ -416,6 +473,27 @@ def test_unpool_then_pool_is_identity(rng):
     co = random_coefficients(rng, 2, np.array([0, 1]), L)
     back = spectral_pool(spectral_unpool(co, 12), L)
     np.testing.assert_array_equal(back.coeffs, co.coeffs)
+
+
+@given(_coefficient_cases(), st.integers(0, 8))
+def test_pool_inverts_unpool(case, extra):
+    L, spins, batch, seed = case
+    co = random_coefficients(np.random.default_rng(seed), batch, spins, L)
+    back = spectral_pool(spectral_unpool(co, L + extra), L)
+    assert back.band_limit == L
+    np.testing.assert_array_equal(back.spins, spins)
+    np.testing.assert_array_equal(back.coeffs, co.coeffs)
+
+
+@given(_coefficient_cases(), st.integers(1, 16))
+def test_unpool_of_pool_is_idempotent(case, target):
+    L, spins, batch, seed = case
+    target = max(min(target, L), int(np.abs(spins).max()) + 1)
+    co = random_coefficients(np.random.default_rng(seed), batch, spins, L)
+    once = spectral_unpool(spectral_pool(co, target), L)
+    twice = spectral_unpool(spectral_pool(once, target), L)
+    assert once.band_limit == twice.band_limit == L
+    np.testing.assert_array_equal(twice.coeffs, once.coeffs)
 
 
 def test_pooled_synthesis_matches_truncated_series(rng):
@@ -527,7 +605,7 @@ def test_residual_block_channel_projection(rng):
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
     with pytest.raises(ValueError):
         residual_block_train(sig, params)[0]
-    proj = FilterBank.projection(rng, (0, 1), 2, 4, L)
+    proj = FilterBank.random(rng, (0, 1), (0, 1), 2, 4, L, spin_diagonal=True, per_degree=False)
     params = ResidualBlockParams(
         bank1=params.bank1, bn1=params.bn1, collapse1=params.collapse1,
         bank2=params.bank2, bn2=params.bn2, collapse2=params.collapse2,

@@ -293,7 +293,7 @@ def test_matches_per_degree_sums(rng, monkeypatch, config):
         monkeypatch.setattr(transforms, "_KERNEL_CHUNK_BYTES", orders * 8 * L * L)
         co = random_coefficients(rng, 2, np.array([spin, spin]), L)
         samples = rng.normal(size=(2, 2, 2 * L, 2 * L)) + 1j * rng.normal(size=(2, 2, 2 * L, 2 * L))
-        I = inner_products(samples, spin, grid, config.fourier_backend)
+        I = inner_products(samples, spin, grid)
         want_co = np.zeros(co.coeffs.shape, dtype=complex)
         want_G = np.zeros((2, 2, 2 * L - 1, 2 * L - 1), dtype=complex)
         for l in range(abs(spin), L):
@@ -466,12 +466,6 @@ def test_fourier_backends_agree_and_invert(rng):
     for backend in ("dft_matrix", "fft"):
         back = fourier_2d(fourier_2d(arr, "synthesis", backend), "analysis", backend)
         assert np.abs(back - arr).max() / np.abs(arr).max() < 1e-12
-
-
-def test_inner_products_rejects_unknown_backend(rng):
-    grid = make_grid(8)
-    with pytest.raises(ValueError, match="bogus"):
-        inner_products(rng.normal(size=(8, 8)), 0, grid, backend="bogus")
 
 
 def test_inner_products_rejects_samples_off_the_grid(rng):

@@ -199,7 +199,7 @@ def test_wigner_d_orthogonal_at_generic_angle(rng):
 
 
 def test_wigner_D_identity_rotation():
-    np.testing.assert_allclose(wigner_D(3, Rotation.identity()), np.eye(7), atol=1e-13)
+    np.testing.assert_allclose(wigner_D(3, Rotation(0.0, 0.0, 0.0)), np.eye(7), atol=1e-13)
 
 
 def test_wigner_D_pure_phases_for_zero_beta():
