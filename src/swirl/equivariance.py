@@ -13,17 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import _grouped_spins
-from .signal import SpinCoefficients, SpinSignal, flat_index, num_coefficients
-from .transforms import forward, inverse
+from .signal import SpinCoefficients, SpinSignal, _integer_spins, flat_index, num_coefficients
+from .transforms import _check_tables, forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, _rotation_phases, compute_delta
 
 
 def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerTables) -> SpinCoefficients:
     """Apply a rotation degree-wise: ghat_l = D^l(rot) @ fhat_l; spins unchanged."""
-    if tables.band_limit < coeffs.band_limit:
-        raise ValueError(
-            f"tables band limit {tables.band_limit} is smaller than coefficients ({coeffs.band_limit})"
-        )
+    _check_tables(coeffs.band_limit, tables)
     phases = _rotation_phases(coeffs.band_limit, rot)
     blocks = [_rotate_degree(tables[l], phases, coeffs.degree_block(l)) for l in range(coeffs.band_limit)]
     return SpinCoefficients(np.concatenate(blocks, axis=-1), coeffs.spins.copy(), coeffs.band_limit)
@@ -99,11 +96,11 @@ def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int
 
 def random_coefficients(rng: np.random.Generator, batch: int, spins, band_limit: int) -> SpinCoefficients:
     """Dense random coefficients, zero below each channel's spin."""
-    spins = np.asarray(spins, dtype=int)
+    spins = _integer_spins(spins)
     co = rng.normal(size=(batch, len(spins), num_coefficients(band_limit)))
     co = co + 1j * rng.normal(size=co.shape)
     for c, s in enumerate(spins):
-        co[:, c, : num_coefficients(abs(int(s)))] = 0.0
+        co[:, c, : num_coefficients(abs(s))] = 0.0
     return SpinCoefficients(co, spins, band_limit)
 
 
@@ -123,8 +120,8 @@ def _real_positive_coefficients(rng, band_limit, max_degree):
 def smooth_harness_signal(
     rng: np.random.Generator,
     band_limit: int,
-    spin_set=(0, 1),
-    channels_per_spin: int = 2,
+    spin_set,
+    channels_per_spin: int,
     max_degree: int | None = None,
     shared_orders: bool = False,
 ) -> SpinSignal:
@@ -143,23 +140,19 @@ def smooth_harness_signal(
         max_degree = max((L - 1) // 2, 1)
     tables = compute_delta(L)
     spins = _grouped_spins(spin_set, channels_per_spin)
-    shared_degree = {}
-    for s in set(int(v) for v in spins):
-        if s != 0:
-            choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
-            shared_degree[s] = int(rng.choice(choices)) if choices else abs(s)
+
+    def degree(s):
+        choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
+        return int(rng.choice(choices)) if choices else abs(s)
+
+    shared_degree = {s: degree(s) for s in set(spins.tolist()) if s != 0}
     co = np.zeros((1, len(spins), num_coefficients(L)), dtype=complex)
-    for c, s in enumerate(spins):
+    for c, s in enumerate(spins.tolist()):
         if s == 0:
             co[0, c] = _real_positive_coefficients(rng, L, max_degree)
         else:
-            if shared_orders:
-                l = shared_degree[int(s)]
-            else:
-                choices = [l for l in range(abs(s), max_degree + 1) if (l + s) % 2 == 0]
-                l = int(rng.choice(choices)) if choices else abs(s)
-            amp = rng.normal() + 1j * rng.normal()
-            co[0, c, flat_index(l, l)] = amp
+            l = shared_degree[s] if shared_orders else degree(s)
+            co[0, c, flat_index(l, l)] = rng.normal() + 1j * rng.normal()
     samples = inverse(SpinCoefficients(co, spins, L), tables).samples
     # Lift spin-0 channels above zero so modulus == field holds everywhere.
     for c in np.flatnonzero(spins == 0):

@@ -132,20 +132,16 @@ def frequency_weights(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
 def weight_matrix(n: int) -> np.ndarray:
     """Toeplitz application of the frequency weights.
 
     W[p, q] = 2*pi*w(q - p) for m' (rows) and m'' (columns) in
-    [-(L-1), L-1]; the torus inner products are I = W @ F.
+    [-(L-1), L-1]; the torus inner products are I = W @ F.  Not cached:
+    the transforms cache the colatitude maps built from it.
     """
     L = n // 2
-    w = frequency_weights(n)
-    c = 2 * L - 2
     idx = np.arange(-(L - 1), L)
-    W = 2 * np.pi * w[(idx[None, :] - idx[:, None]) + c]
-    W.flags.writeable = False
-    return W
+    return 2 * np.pi * frequency_weights(n)[(idx[None, :] - idx[:, None]) + 2 * L - 2]
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +154,7 @@ def colatitude_weights(n: int) -> np.ndarray:
     L = n // 2
     k = np.arange(-(L - 1), L)
     w = frequency_weights(n)[(k + 2 * L - 2)]
-    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    theta = make_grid(n).colatitudes
     lam = (2 * np.pi / n**2) * (w[None, :] * np.cos(k[None, :] * theta[:, None])).sum(axis=1).real
     lam.flags.writeable = False
     return lam

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import SpinCoefficients, SpinSignal, degree_slice, num_coefficients
+from .signal import SpinCoefficients, SpinSignal, _integer_spins, _integers, degree_slice, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
 from .wigner import compute_delta
 
@@ -21,7 +21,7 @@ _EPSILON = 1e-5  # added to the variance before the square root
 
 
 def _grouped_spins(spin_set, channels: int) -> np.ndarray:
-    return np.repeat(np.asarray(spin_set, dtype=int), channels)
+    return np.repeat(_integer_spins(spin_set), channels)
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class FilterBank:
     spins_out: tuple
 
     def __post_init__(self):
-        spins_in = tuple(int(s) for s in self.spins_in)
-        spins_out = tuple(int(s) for s in self.spins_out)
+        spins_in = tuple(_integer_spins(self.spins_in).tolist())
+        spins_out = tuple(_integer_spins(self.spins_out).tolist())
         object.__setattr__(self, "spins_in", spins_in)
         object.__setattr__(self, "spins_out", spins_out)
         w = np.array(self.weights, dtype=complex)
@@ -235,7 +235,7 @@ def spectral_batch_norm(
 
 def spectral_pool(coeffs: SpinCoefficients, new_band_limit: int) -> SpinCoefficients:
     """Low-pass pooling: keep degrees below the new band limit (implied grid n = 2*new_L)."""
-    L = coeffs.band_limit
+    L, new_band_limit = coeffs.band_limit, int(_integers(new_band_limit, "band limit"))
     if new_band_limit > L:
         raise ValueError(f"pooling target {new_band_limit} exceeds current band limit {L}")
     if np.any(np.abs(coeffs.spins) >= new_band_limit):
@@ -249,7 +249,7 @@ def spectral_pool(coeffs: SpinCoefficients, new_band_limit: int) -> SpinCoeffici
 
 def spectral_unpool(coeffs: SpinCoefficients, new_band_limit: int) -> SpinCoefficients:
     """Zero-pad degrees above the current band limit."""
-    L = coeffs.band_limit
+    L, new_band_limit = coeffs.band_limit, int(_integers(new_band_limit, "band limit"))
     if new_band_limit < L:
         raise ValueError(f"unpooling target {new_band_limit} is below current band limit {L}")
     if new_band_limit == L:

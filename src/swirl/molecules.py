@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SphericalGrid, spherical_mean
+from .signal import _integers
 
 _SYMBOLS = (
     "H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni Cu Zn "
@@ -43,7 +44,7 @@ class Molecule:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        z = np.asarray(self.atomic_numbers, dtype=int)
+        z = _integers(self.atomic_numbers, "atomic number")
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "atomic_numbers", z)
         object.__setattr__(self, "positions", pos)
@@ -98,6 +99,8 @@ def _parse_block(lines, start: int):
             xyz = [float(p.replace("*^", "e")) for p in parts[1:4]]
         except ValueError:
             raise XYZParseError(f"line {ln + 1}: non-numeric coordinate in {parts[1:4]!r}") from None
+        if not np.isfinite(xyz).all():
+            raise XYZParseError(f"line {ln + 1}: non-finite coordinate in {parts[1:4]!r}")
         numbers.append(SYMBOL_TO_NUMBER[symbol])
         coords.append(xyz)
     mol = Molecule(np.array(numbers), np.array(coords), metadata={"comment": comment})
@@ -171,7 +174,7 @@ def featurize(
     sigma: float | None = None,
 ) -> MoleculeFeatures:
     """Spherical features of a molecule: one sphere per atom, P*Z channels each."""
-    vocabulary = tuple(int(z) for z in vocabulary)
+    vocabulary = tuple(_integers(vocabulary, "atomic number").tolist())
     powers = tuple(powers)
     if not powers:
         raise ValueError("powers must be nonempty")

@@ -33,13 +33,21 @@ def degree_of_index(band_limit: int) -> np.ndarray:
     return np.repeat(np.arange(band_limit), 2 * np.arange(band_limit) + 1)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as an int array: an integral float converts (4.0 becomes 4), any other value raises a
+    ValueError that names it rather than being truncated."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to arbitrary integers, which the check rejects
+        out = given.astype(int)
+    if np.any(bad := given != out):
+        listed = f", got {name}s {given.tolist()}" if given.ndim else ""
+        raise ValueError(f"{name} {given[bad][0]} must be an integer{listed}")
+    return out
+
+
 def _integer_spins(spins) -> np.ndarray:
     """The spins as an int array, rejecting any that is not an integer rather than truncating it."""
-    given = np.asarray(spins)
-    out = given.astype(int)
-    if np.any(bad := given != out):
-        raise ValueError(f"spin {given[bad][0]} must be an integer, got spins {given.tolist()}")
-    return out
+    return _integers(spins, "spin")
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,10 @@ class SpinCoefficients:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
         spins = _integer_spins(self.spins)
+        L = int(_integers(self.band_limit, "band limit"))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "spins", spins)
-        L = self.band_limit
+        object.__setattr__(self, "band_limit", L)
         if L < 1:
             raise ValueError(f"band limit must be positive, got {L}")
         if coeffs.ndim != 3 or coeffs.shape[-1] != num_coefficients(L):

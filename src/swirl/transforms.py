@@ -103,12 +103,6 @@ def fourier_2d(values: np.ndarray, direction: str, backend: str = "fft") -> np.n
     return out if direction == "analysis" else out / values.shape[-1] / values.shape[-2]
 
 
-def _phase_vector(L: int, spin: int) -> np.ndarray:
-    # (-1)^s * i^(m+s) for m = -(L-1) .. L-1
-    m = np.arange(-(L - 1), L)
-    return (-1.0) ** spin * _I_POW[(m + spin) % 4]
-
-
 def _parities(L: int, spin: int):
     # (p, columns, split, neg, nonneg) of the orders m = -(L-1) .. L-1 with (-1)^(m+s) = p: the first split
     # columns are the orders m < 0, at the longitudes 2L + m (slice neg), the rest m >= 0 (slice nonneg)
@@ -190,11 +184,13 @@ def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = 
     return SpinCoefficients(out, signal.spins.copy(), L)
 
 
-def _flat_orders(L: int):
-    # order |m|, degree l and sign half [m < 0] of every flat index l^2 + l + m
+def _flat_orders(L: int, spin: int):
+    # order |m|, degree l, sign half [m < 0] and phase (-1)^s i^(m+s), times (-1)^l for m < 0, of every
+    # flat index l^2 + l + m; the forward takes the conjugate, (-1)^(m+s) times the phase, exactly
     l = degree_of_index(L)
     m = np.arange(L * L) - l * l - l
-    return np.abs(m), l, (m < 0).astype(int), m
+    half = (m < 0).astype(int)
+    return np.abs(m), l, half, (-1.0) ** spin * _I_POW[(m + spin) % 4] * np.where(half, _signs(l), 1.0)
 
 
 def _kernel(tables, rows, mu0, mu1):
@@ -246,9 +242,8 @@ def _forward_block(samples, spin, L, tables, config):
     x[:, :, 1] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
     y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=False)
     y = y.view(complex).reshape(L, L, 2, B)
-    mu, l, half, m = _flat_orders(L)
-    phases = _phase_vector(L, spin)[m + c] * _signs(m + spin) * np.where(half, _signs(l), 1.0)
-    return (y[mu, l, half] * phases[:, None]).T.reshape(lead + (L * L,))
+    mu, l, half, phases = _flat_orders(L, spin)
+    return (y[mu, l, half] * phases.conj()[:, None]).T.reshape(lead + (L * L,))
 
 
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables) -> np.ndarray:
@@ -271,8 +266,7 @@ def _g_rows(flat, spin, L, tables):
     c = L - 1
     lead = flat.shape[:-1]
     B = int(np.prod(lead))
-    mu, l, half, m = _flat_orders(L)
-    phases = _phase_vector(L, spin)[m + c] * np.where(half, _signs(l), 1.0)
+    mu, l, half, phases = _flat_orders(L, spin)
     x = np.zeros((L, L, 2, B), dtype=complex)
     x[mu, l, half] = (flat.reshape(B, L * L) * phases).T
     y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=True)

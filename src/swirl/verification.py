@@ -37,7 +37,7 @@ from .layers import (
     spectral_variance,
 )
 from .molecules import Molecule, calibrate_spread, featurize, parse_xyz, pooled_descriptor
-from .signal import SpinSignal, num_coefficients
+from .signal import SpinSignal
 from .transforms import TransformConfig, forward, g_matrix, inner_products, inverse
 from .wigner import Rotation, compute_delta, random_rotations, wigner_D, wigner_d
 
@@ -95,7 +95,7 @@ def check_grid_inner_products(seed=0):
     rows = []
     for L in (4, 8, 16):
         grid = make_grid(2 * L)
-        flat = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
+        flat = random_coefficients(rng, 1, [0], L).coeffs[0, 0]
         th = grid.colatitudes[:, None]
         ph = grid.longitudes[None, :]
         samples = reference.synthesize_at(flat, 0, L, th, ph)
@@ -130,23 +130,19 @@ def check_grid_extension(seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_wigner_delta_oracle(seed=0):
+def _wigner_d_oracle_row(name, beta, d_matrix):
+    # d_matrix(l) against the mpmath sum formula at beta, for the degrees 0 .. 20
     max_degree = 20
-    tables = compute_delta(max_degree + 1)
-    err = 0.0
-    for l in range(max_degree + 1):
-        oracle = reference.wigner_d_matrix_mp(l, float(np.pi / 2))
-        err = max(err, np.abs(tables[l] - oracle).max())
-    return [_row("wigner.delta.sum_formula", max_degree, err, 1e-12)]
+    err = max(np.abs(d_matrix(l) - reference.wigner_d_matrix_mp(l, beta)).max() for l in range(max_degree + 1))
+    return [_row(name, max_degree, err, 1e-12)]
+
+
+def check_wigner_delta_oracle(seed=0):
+    return _wigner_d_oracle_row("wigner.delta.sum_formula", np.pi / 2, compute_delta(21).__getitem__)
 
 
 def check_wigner_d_oracle(seed=0):
-    max_degree, beta = 20, 0.7
-    err = 0.0
-    for l in range(max_degree + 1):
-        oracle = reference.wigner_d_matrix_mp(l, beta)
-        err = max(err, np.abs(wigner_d(l, beta) - oracle).max())
-    return [_row("wigner.d.sum_formula", max_degree, err, 1e-12)]
+    return _wigner_d_oracle_row("wigner.d.sum_formula", 0.7, lambda l: wigner_d(l, 0.7))
 
 
 def check_wigner_orthogonality(seed=0):
@@ -195,8 +191,7 @@ def check_forward_oracle(seed=0):
     rows = []
     for spin in (-1, 0, 1):
         for L in (4, 8):
-            flat = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
-            flat[: num_coefficients(abs(spin))] = 0.0
+            flat = random_coefficients(rng, 1, [spin], L).coeffs[0, 0]
             grid = make_grid(2 * L)
             th = grid.colatitudes[:, None]
             ph = grid.longitudes[None, :]
@@ -269,8 +264,7 @@ def check_parseval(seed=0):
     err = 0.0
     for spin in (0, 1):
         L = 8
-        flat = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
-        flat[: num_coefficients(abs(spin))] = 0.0
+        flat = random_coefficients(rng, 1, [spin], L).coeffs[0, 0]
         energy = (np.abs(flat) ** 2).sum()
         integral = reference.spherical_integral_quadrature(
             lambda th, ph: np.abs(reference.synthesize_at(flat, spin, L, th, ph)) ** 2, L

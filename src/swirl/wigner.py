@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .signal import _integers
+
 MAX_BAND_LIMIT = 2048
 
 
@@ -75,7 +77,7 @@ def _build_delta(band_limit: int) -> WignerTables:
     recursion takes from degrees l-1 and l-2.  The 8 L^3 bytes are checked
     against host memory before they are allocated.
     """
-    L = band_limit
+    L = int(_integers(band_limit, "band limit"))
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     if L > MAX_BAND_LIMIT:
@@ -190,6 +192,7 @@ def _rotate_degree(delta: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.n
 
 def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
     """Wigner D matrix D^l_{m,m'} = e^{-i m alpha} d^l_{m,m'}(beta) e^{-i m' gamma}."""
+    degree = int(_integers(degree, "degree"))
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     # a one-off table: Delta^l does not depend on the band limit, so caching it would only evict the transforms' tables

@@ -189,6 +189,18 @@ def test_featurize_rejects_a_repeated_vocabulary_entry(tmp_path, capsys, water_x
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+def test_featurize_names_the_line_of_a_non_finite_coordinate(tmp_path, capsys, water_xyz, value):
+    lines = water_xyz.splitlines()
+    lines[2] = f"O 0.0 {value} 0.0"
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "w.features"
+    assert main(["featurize", str(xyz), "--resolution", "8", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: non-finite coordinate")
+    assert not out.exists()
+
+
 def test_featurize_missing_file(tmp_path):
     assert main(["featurize", str(tmp_path / "nope.xyz"), "--output", str(tmp_path / "x")]) == 1
 

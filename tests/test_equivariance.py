@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from swirl import reference
 from swirl.equivariance import (
     equivariance_error,
+    max_rel_error,
     random_coefficients,
     rotate_coefficients,
     rotate_signal,
@@ -65,27 +66,20 @@ def test_rotation_composition(rng):
     assert np.abs(a.coeffs - b.coeffs).max() / np.abs(b.coeffs).max() < 1e-10
 
 
-def test_spectral_rotation_is_pointwise_rotation(rng):
+@given(st.integers(1, 8), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_spectral_rotation_is_pointwise_rotation(L, batch, seed):
     # The coefficient action ghat = D(R) fhat must synthesize to
     # g(x) = f(R^-1 x): checked at the grid points via the reference
     # evaluator, which knows nothing about the spectral rotation.
-    L = 8
+    rng = np.random.default_rng(seed)
     tables = compute_delta(L)
-    grid_n = 2 * L
-    co = random_coefficients(rng, 1, np.array([0]), L)
-    co.coeffs[..., 36:] = 0.0  # degrees above 5
+    co = random_coefficients(rng, batch, np.array([0]), L)
     rot = Rotation.random(rng)
     rotated = inverse(rotate_coefficients(co, rot, tables), tables)
-    grid = rotated.grid
-    th, ph = np.meshgrid(grid.colatitudes, grid.longitudes, indexing="ij")
-    xyz = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1)
-    back = xyz @ rot.matrix()  # row vectors: R^T x = R^-1 x
-    th_r = np.arccos(np.clip(back[..., 2], -1, 1))
-    ph_r = np.arctan2(back[..., 1], back[..., 0]) % (2 * np.pi)
-    expected = reference.synthesize_at(co.coeffs[0, 0], 0, L, th_r, ph_r)
-    rel = np.abs(rotated.samples[0, 0] - expected).max() / np.abs(expected).max()
-    assert rel < 1e-10
-    assert grid_n == grid.n
+    back = rotated.grid.unit_vectors() @ rot.matrix()  # row vectors: R^T x = R^-1 x
+    th_r, ph_r = np.arccos(np.clip(back[..., 2], -1, 1)), np.arctan2(back[..., 1], back[..., 0])
+    expected = np.stack([reference.synthesize_at(c, 0, L, th_r, ph_r) for c in co.coeffs[:, 0]])
+    assert max_rel_error(rotated.samples[:, 0], expected) <= 1e-12
 
 
 def test_spin1_modulus_rotates_as_scalar(rng):
@@ -119,7 +113,7 @@ def test_rotate_coefficients_is_wigner_D_per_degree(rng, L):
 
 def test_rotate_band_limit_mismatch(rng):
     co = random_coefficients(rng, 1, np.array([0]), 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tables band limit 4 is smaller than required 8"):
         rotate_coefficients(co, Rotation(0.0, 0.0, 0.0), compute_delta(4))
 
 

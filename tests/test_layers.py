@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from swirl import reference
 from swirl.equivariance import random_coefficients, smooth_harness_signal
 from swirl.layers import (
+    _EPSILON,
     BatchNormState,
     FilterBank,
     PhaseCollapseParams,
@@ -409,6 +410,19 @@ def test_batch_norm_eval_after_one_train_step_reproduces_train(case):
     train, warmed = spectral_batch_norm(co, state, "train")
     evaluated, _ = spectral_batch_norm(co, warmed, "eval")
     np.testing.assert_array_equal(evaluated.coeffs, train.coeffs)
+
+
+@given(_coefficient_cases())
+def test_batch_norm_train_output_has_the_exact_shrunk_variance(case):
+    # Train mode divides by sqrt(var + epsilon), so the output's batch variance is scale^2 var / (var + epsilon).
+    L, spins, batch, seed = case
+    rng = np.random.default_rng(seed)
+    co = random_coefficients(rng, batch, spins, L)
+    scale = rng.uniform(0.5, 2.0, len(spins))
+    out, _ = spectral_batch_norm(co, BatchNormState(scale, np.zeros(len(spins), complex), None), "train")
+    var = spectral_variance(co).mean(axis=0)
+    want = scale**2 * var / (var + _EPSILON)
+    np.testing.assert_allclose(spectral_variance(out).mean(axis=0), want, rtol=1e-12, atol=0)
 
 
 def test_batch_norm_train_requires_batch(rng):

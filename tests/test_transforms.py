@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swirl import reference, transforms
-from swirl.equivariance import random_coefficients
-from swirl.grid import extend_samples, make_grid, weight_matrix
+from swirl.equivariance import random_coefficients, smooth_harness_signal
+from swirl.grid import extend_samples, make_grid, spherical_integral, weight_matrix
+from swirl.layers import FilterBank, spectral_pool, spectral_unpool
+from swirl.molecules import Molecule, featurize
 from swirl.signal import SpinCoefficients, SpinSignal, degree_of_index, degree_slice, flat_index, num_coefficients
 from swirl.transforms import (
     TransformConfig,
@@ -19,7 +21,7 @@ from swirl.transforms import (
     inner_products,
     inverse,
 )
-from swirl.wigner import compute_delta
+from swirl.wigner import Rotation, compute_delta, wigner_D
 
 SQRT_4PI = 3.5449077018110318
 
@@ -207,6 +209,17 @@ def test_parseval(rng):
         assert abs(energy - integral) / integral < 1e-8
 
 
+@given(_conjugation_cases())
+def test_parseval_through_the_inverse_transform(case):
+    # |f|^2 has degree at most 2L-2, so the quadrature of the 4L grid integrates it exactly.
+    L, batch, spin, seed = case
+    co = random_coefficients(np.random.default_rng(seed), batch, np.array([spin, -spin]), L)
+    samples = inverse(spectral_unpool(co, 2 * L), compute_delta(2 * L)).samples
+    energy = (np.abs(co.coeffs) ** 2).sum(axis=-1)
+    integral = spherical_integral(np.abs(samples) ** 2, make_grid(4 * L))
+    assert np.all(np.abs(integral - energy) <= 1e-12 * energy)
+
+
 def test_band_limit_mismatch_rejected(rng):
     L = 8
     co = random_coefficients(rng, 1, np.array([0]), L)
@@ -228,17 +241,46 @@ def test_unsupported_spin_rejected(rng):
 @pytest.mark.parametrize("spin", [0.5, 1.7, -0.5, 1.0])
 def test_containers_reject_a_spin_that_is_not_an_integer(spin):
     # An integer-valued float is that integer; any other spin is an error, never truncated.
+    # Filter banks and the harness inputs follow the containers' rule.
+    rng = np.random.default_rng(0)
     builders = [
-        lambda: SpinSignal(np.zeros((1, 1, 8, 8)), np.array([spin]), make_grid(8)),
-        lambda: SpinCoefficients(np.zeros((1, 1, 16)), np.array([spin]), 4),
+        lambda: SpinSignal(np.zeros((1, 1, 8, 8)), np.array([spin]), make_grid(8)).spins,
+        lambda: SpinCoefficients(np.zeros((1, 1, 16)), np.array([spin]), 4).spins,
+        lambda: FilterBank(np.ones((1, 1, 4)), (spin,), (0,)).spins_in,
+        lambda: FilterBank.random(rng, (0,), (spin,), 1, 1, 4).spins_out,
+        lambda: random_coefficients(rng, 1, [spin], 4).spins,
+        lambda: smooth_harness_signal(rng, 4, (spin,), 1).spins,
     ]
     for build in builders:
         if spin == int(spin):
-            spins = build().spins
+            spins = np.asarray(build())
             assert spins.dtype.kind == "i" and spins.tolist() == [int(spin)]
         else:
             with pytest.raises(ValueError, match=f"spin {spin} must be an integer"):
                 build()
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: SpinCoefficients(np.zeros((1, 1, 4)), [0], v).band_limit, "band limit"),
+        (lambda v: compute_delta(v).band_limit, "band limit"),
+        (lambda v: len(wigner_D(v, Rotation(0.1, 0.2, 0.3))) // 2, "degree"),
+        (lambda v: spectral_pool(SpinCoefficients(np.ones((1, 1, 9)), [0], 3), v).band_limit, "band limit"),
+        (lambda v: spectral_unpool(SpinCoefficients(np.ones((1, 1, 1)), [0], 1), v).band_limit, "band limit"),
+        (lambda v: Molecule([v, 8], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).atomic_numbers[0], "atomic number"),
+        (lambda v: featurize(Molecule([2, 8], np.eye(3)[:2]), (v, 8), make_grid(4)).vocabulary[0], "atomic number"),
+    ],
+)
+def test_band_limits_degrees_and_atomic_numbers_must_be_integers(build, name, value):
+    # As with spins, an integral float is that integer and any other value is an error, never truncated.
+    if value == int(value):
+        got = build(value)
+        assert isinstance(got, (int, np.integer)) and got == 2
+    else:
+        with pytest.raises(ValueError, match=f"{name} {value} must be an integer"):
+            build(value)
 
 
 def test_default_config_is_fft_reduced():
