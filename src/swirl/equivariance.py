@@ -13,17 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import _grouped_spins
-from .signal import SpinCoefficients, SpinSignal, _integer_spins, flat_index, num_coefficients
+from .signal import (
+    SpinCoefficients, SpinSignal, _integer_spins, _integers, degree_of_index, degree_slice, flat_index, num_coefficients
+)
 from .transforms import _check_tables, forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, _rotation_phases, compute_delta
 
 
 def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerTables) -> SpinCoefficients:
-    """Apply a rotation degree-wise: ghat_l = D^l(rot) @ fhat_l; spins unchanged."""
-    _check_tables(coeffs.band_limit, tables)
-    phases = _rotation_phases(coeffs.band_limit, rot)
-    blocks = [_rotate_degree(tables[l], phases, coeffs.degree_block(l)) for l in range(coeffs.band_limit)]
-    return SpinCoefficients(np.concatenate(blocks, axis=-1), coeffs.spins.copy(), coeffs.band_limit)
+    """Apply a rotation degree-wise: ghat_l = D^l(rot) @ fhat_l; spins unchanged.
+
+    The gamma and alpha phases of D^l multiply the whole flat layout, held as
+    (L^2, batch*channels), once each; per degree only Delta^T diag(beta phases) Delta is applied.
+    """
+    L = coeffs.band_limit
+    _check_tables(L, tables)
+    first, middle, last = _rotation_phases(L, rot)
+    l = degree_of_index(L)
+    column = np.arange(L * L) - l * l - l + L - 1  # the order m of each flat index, as its column m + L - 1
+    x = np.ascontiguousarray((coeffs.coeffs.reshape(-1, L * L) * first[column]).T)
+    out = np.empty_like(x)
+    for d in range(L):
+        block = degree_slice(d)
+        _rotate_degree(tables[d], middle[L - 1 - d : L + d, None], x[block], out[block])
+    out = np.multiply(out.T, last[column], order="C")
+    return SpinCoefficients(out.reshape(coeffs.coeffs.shape), coeffs.spins.copy(), L)
 
 
 def rotate_signal(signal: SpinSignal, rot: Rotation) -> SpinSignal:
@@ -135,7 +149,7 @@ def smooth_harness_signal(
     single-harmonic structure.  Synthesis uses the default transform
     config.
     """
-    L = band_limit
+    L = int(_integers(band_limit, "band limit"))
     if max_degree is None:
         max_degree = max((L - 1) // 2, 1)
     tables = compute_delta(L)

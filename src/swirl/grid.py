@@ -42,11 +42,29 @@ class SphericalGrid:
         )
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as an int array: an integral float converts (4.0 becomes 4), any other value raises a
+    ValueError that names it rather than being truncated."""
+    given = np.asarray(values)
+    if given.dtype.kind in "bi":  # already integers
+        return given.astype(int)
+    try:
+        with np.errstate(invalid="ignore"):  # nan and inf cast to arbitrary integers, which the check rejects
+            out = given.astype(int)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} {values!r} must be an integer") from None
+    if np.any(bad := given != out):
+        listed = f", got {name}s {given.tolist()}" if given.ndim else ""
+        raise ValueError(f"{name} {given[bad][0]} must be an integer{listed}")
+    return out
+
+
 def make_grid(n: int) -> SphericalGrid:
-    """Build the equiangular grid for an even resolution n >= 2."""
-    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
+    """Build the equiangular grid for an even resolution n >= 2 (an integral float such as 8.0 is that integer)."""
+    size = _integers(n, "grid resolution")
+    if size.ndim or size < 2 or size % 2 != 0:
         raise ValueError(f"grid resolution must be a positive even integer, got {n!r}")
-    n = int(n)
+    n = int(size)
     j = np.arange(n)
     colatitudes = np.pi * (2 * j + 1) / (2 * n)
     longitudes = 2 * np.pi * j / n

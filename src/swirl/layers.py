@@ -85,7 +85,7 @@ class FilterBank:
         With per_degree=False the taps are constant across degree (the
         spectral analogue of a 1x1 convolution, used for skip projections).
         """
-        cin, cout = channels_in, channels_out
+        cin, cout, band_limit = channels_in, channels_out, int(_integers(band_limit, "band limit"))
         scale = 1.0 / np.sqrt(len(spins_in) * cin * band_limit)
         w = np.zeros((len(spins_in) * cin, len(spins_out) * cout, band_limit), dtype=complex)
         for i, si in enumerate(spins_in):
@@ -293,8 +293,10 @@ def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEF
     Signal path: FT -> (pool) -> *K -> BN -> IFT -> sigma -> FT -> *K ->
     BN -> add skip (in Fourier space) -> IFT -> sigma.  Coefficient input
     is treated as the first FT's output, and the result is transformed
-    back to coefficients after the final activation.  Batch norm uses the
-    running statistics; residual_block_train is the train-mode entry point.
+    back to coefficients after the final activation.  Each FT after an
+    activation maps back only the spin-0 channels, the ones sigma changes.
+    Batch norm uses the running statistics; residual_block_train is the
+    train-mode entry point.
     """
     return _residual_impl(x, params, config, "eval")[0]
 
@@ -316,9 +318,7 @@ def _residual_impl(x, params, config, mode):
 
     h = spectral_conv(pooled, params.bank1)
     h, bn1 = spectral_batch_norm(h, params.bn1, mode)
-    mid = phase_collapse(inverse(h, tables, config), params.collapse1)
-
-    h = forward(mid, tables, config)
+    h = _collapse_coefficients(h, phase_collapse(inverse(h, tables, config), params.collapse1), tables, config)
     h = spectral_conv(h, params.bank2)
     h, bn2 = spectral_batch_norm(h, params.bn2, mode)
 
@@ -329,5 +329,15 @@ def _residual_impl(x, params, config, mode):
 
     out = phase_collapse(inverse(total, tables, config), params.collapse2)
     if not is_signal:
-        out = forward(out, tables, config)
+        out = _collapse_coefficients(total, out, tables, config)
     return out, replace(params, bn1=bn1, bn2=bn2)
+
+
+def _collapse_coefficients(coeffs: SpinCoefficients, collapsed: SpinSignal, tables, config) -> SpinCoefficients:
+    """forward(collapsed), where collapsed is phase_collapse(inverse(coeffs)): only the spin-0 channels are
+    transformed, as the collapse leaves the others' samples, whose transform is coeffs' own to round-off."""
+    zero = coeffs.spins == 0
+    out = coeffs.coeffs.copy()
+    spin_zero = SpinSignal(collapsed.samples[:, zero], coeffs.spins[zero], collapsed.grid)
+    out[:, zero] = forward(spin_zero, tables, config).coeffs
+    return SpinCoefficients(out, coeffs.spins.copy(), coeffs.band_limit)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .signal import degree_slice, num_coefficients
@@ -50,6 +49,8 @@ def wigner_d_explicit(degree: int, a: int, b: int, beta) -> np.ndarray:
 
 def wigner_d_explicit_mp(degree: int, a: int, b: int, beta) -> float:
     """The same sum evaluated in 30-digit arithmetic (for tight tolerances)."""
+    import mpmath as mp  # imported here, so importing swirl (and its verification) does not load mpmath
+
     with mp.workdps(30):
         beta = mp.mpf(beta)
         c, s = mp.cos(beta / 2), mp.sin(beta / 2)

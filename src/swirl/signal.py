@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SphericalGrid, make_grid
+from .grid import SphericalGrid, _integers, make_grid  # in grid, as make_grid checks its resolution with it
 
 
 def num_coefficients(band_limit: int) -> int:
@@ -31,18 +31,6 @@ def degree_slice(degree: int) -> slice:
 def degree_of_index(band_limit: int) -> np.ndarray:
     """Maps each flat coefficient index to its degree, shape (L*L,)."""
     return np.repeat(np.arange(band_limit), 2 * np.arange(band_limit) + 1)
-
-
-def _integers(values, name: str) -> np.ndarray:
-    """values as an int array: an integral float converts (4.0 becomes 4), any other value raises a
-    ValueError that names it rather than being truncated."""
-    given = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # nan and inf cast to arbitrary integers, which the check rejects
-        out = given.astype(int)
-    if np.any(bad := given != out):
-        listed = f", got {name}s {given.tolist()}" if given.ndim else ""
-        raise ValueError(f"{name} {given[bad][0]} must be an integer{listed}")
-    return out
 
 
 def _integer_spins(spins) -> np.ndarray:
@@ -115,10 +103,12 @@ class SpinCoefficients:
             raise ValueError(f"spins must have one entry per channel, got {spins.shape}")
         if np.any(np.abs(spins) >= L):
             raise ValueError(f"|spin| must be < band limit {L}, got {spins}")
-        for c, s in enumerate(spins):
-            low = coeffs[:, c, : num_coefficients(abs(int(s)))]
-            if low.size and np.any(low != 0):
-                raise ValueError(f"channel {c} has nonzero coefficients below degree |spin|={abs(int(s))}")
+        size = np.abs(spins)
+        top = int(size.max(initial=0))
+        low = degree_of_index(top) < size[:, None]  # (channels, top^2): the entries below each channel's spin
+        bad = np.flatnonzero(np.any((coeffs[..., : top * top] != 0) & low, axis=(0, 2)))
+        if bad.size:
+            raise ValueError(f"channel {bad[0]} has nonzero coefficients below degree |spin|={size[bad[0]]}")
 
     @property
     def batch(self) -> int:

@@ -31,8 +31,10 @@ A spin-s transform on the n x n grid (n = 2L) is three linear stages:
    of -m, as Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m} exactly in the tables:
    (-1)^m' moves onto the input (forward) or output (inverse), (-1)^l the other way.
 
-All four backend/path combinations agree to rounding.  Kernels are rebuilt per call
-in chunks of _KERNEL_CHUNK_BYTES bytes; only the colatitude maps are cached.
+All four backend/path combinations agree to rounding.  The colatitude maps and the
+flat-order maps are cached per (L, parity) and (L, spin).  A spin's kernel that fits one
+chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables,
+for the four spins used last; a larger one is rebuilt per call, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class TransformConfig:
 DEFAULT_CONFIG = TransformConfig()
 
 _KERNEL_CHUNK_BYTES = 4 << 20  # byte budget of one chunk of kernel orders
+_KEPT_KERNELS = 4  # one-chunk kernels kept per table, the spins used last
 
 
 @lru_cache(maxsize=32)
@@ -184,13 +187,17 @@ def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = 
     return SpinCoefficients(out, signal.spins.copy(), L)
 
 
+@lru_cache(maxsize=32)
 def _flat_orders(L: int, spin: int):
-    # order |m|, degree l, sign half [m < 0] and phase (-1)^s i^(m+s), times (-1)^l for m < 0, of every
-    # flat index l^2 + l + m; the forward takes the conjugate, (-1)^(m+s) times the phase, exactly
+    # row (|m| L + l) 2 + [m < 0] of the (L, L, 2) order-major layout and phase (-1)^s i^(m+s), times (-1)^l
+    # for m < 0, of every flat index l^2 + l + m; the forward takes the conjugate, (-1)^(m+s) times the phase
     l = degree_of_index(L)
     m = np.arange(L * L) - l * l - l
     half = (m < 0).astype(int)
-    return np.abs(m), l, half, (-1.0) ** spin * _I_POW[(m + spin) % 4] * np.where(half, _signs(l), 1.0)
+    rows = (np.abs(m) * L + l) * 2 + half
+    phases = (-1.0) ** spin * _I_POW[(m + spin) % 4] * np.where(half, _signs(l), 1.0)
+    rows.flags.writeable = phases.flags.writeable = False
+    return rows, phases
 
 
 def _kernel(tables, rows, mu0, mu1):
@@ -206,20 +213,46 @@ def _kernel(tables, rows, mu0, mu1):
     return tables.delta[mu0:mu1, l0:L, :L] * rows[l0 - L :]
 
 
+def _spin_rows(tables, spin, L):
+    """alpha_l Delta^l_{-s,m'} for the degrees |s| <= l < L and 0 <= m' < L, shape (L - |s|, L)."""
+    l = np.arange(abs(spin), L)[:, None]
+    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
+    return np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[abs(spin), abs(spin) : L, :L]
+
+
+def _kernel_chunks(tables, spin, L):
+    """(mu0, mu1, kernel of the orders mu0 <= m < mu1) covering all orders, in chunks of _KERNEL_CHUNK_BYTES.
+
+    A kernel that fits one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is built
+    once and kept on the tables for the _KEPT_KERNELS spins used last; larger
+    ones are built from spin rows made once per call, one chunk alive at a time.
+    """
+    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
+    if step < L:
+        rows = _spin_rows(tables, spin, L)
+        for mu0 in range(0, L, step):
+            mu1 = min(mu0 + step, L)
+            yield mu0, mu1, _kernel(tables, rows, mu0, mu1)
+        return
+    kept = tables._kernels
+    K = kept.pop((L, spin), None)
+    if K is None:
+        K = _kernel(tables, _spin_rows(tables, spin, L), 0, L)
+        K.flags.writeable = False
+    kept[L, spin] = K  # the most recently used, last
+    for old in list(kept)[:-_KEPT_KERNELS]:
+        kept.pop(old, None)  # None: another thread may have dropped it first
+    yield 0, L, K
+
+
 def _per_order(x, spin, L, tables, adjoint):
-    """One matmul per order against the kernel, built in bounded chunks from spin rows built once.
+    """One matmul per order against the kernel, chunk by chunk (see _kernel_chunks).
 
     x is real, (L, L, k) with axes (|m|, m', k) for the forward and (|m|, l, k)
     for the adjoint; the output has the other of the two middle axes.
     """
     out = np.zeros((L, L, x.shape[-1]))
-    l = np.arange(abs(spin), L)[:, None]
-    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
-    rows = np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[abs(spin), abs(spin) : L, :L]
-    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
-    for mu0 in range(0, L, step):
-        mu1 = min(mu0 + step, L)
-        K = _kernel(tables, rows, mu0, mu1)
+    for mu0, mu1, K in _kernel_chunks(tables, spin, L):
         l0 = L - K.shape[1]
         if adjoint:
             out[mu0:mu1] = np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:])
@@ -241,9 +274,8 @@ def _forward_block(samples, spin, L, tables, config):
     x[:, :, 0] = I[:, :, c:].transpose(2, 1, 0)
     x[:, :, 1] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
     y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=False)
-    y = y.view(complex).reshape(L, L, 2, B)
-    mu, l, half, phases = _flat_orders(L, spin)
-    return (y[mu, l, half] * phases.conj()[:, None]).T.reshape(lead + (L * L,))
+    rows, phases = _flat_orders(L, spin)
+    return (y.view(complex).reshape(2 * L * L, B)[rows] * phases.conj()[:, None]).T.reshape(lead + (L * L,))
 
 
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables) -> np.ndarray:
@@ -266,9 +298,9 @@ def _g_rows(flat, spin, L, tables):
     c = L - 1
     lead = flat.shape[:-1]
     B = int(np.prod(lead))
-    mu, l, half, phases = _flat_orders(L, spin)
+    rows, phases = _flat_orders(L, spin)
     x = np.zeros((L, L, 2, B), dtype=complex)
-    x[mu, l, half] = (flat.reshape(B, L * L) * phases).T
+    x.reshape(2 * L * L, B)[rows] = (flat.reshape(B, L * L) * phases).T
     y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=True)
     y = y.view(complex).reshape(L, L, 2, B)
     G = np.empty((B, L, 2 * L - 1), dtype=complex)

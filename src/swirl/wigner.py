@@ -14,16 +14,18 @@ so a rotation matrix factors through the Delta table of its degree:
 
     D^l(R) = diag(i^a e^{-i a alpha}) Delta^T diag(e^{-i c beta}) Delta diag(i^-b e^{-i b gamma})
 
-Rotations apply this product one factor at a time to the coefficients,
-reading the tables they are given and slicing the three phase vectors, built
-once per rotation, for each degree; ``wigner_D`` and ``wigner_d`` are the
-same product applied to the identity.
+Rotations multiply the gamma and alpha phases into all coefficients at once
+and apply Delta^T diag(e^{-i c beta}) Delta per degree, in real arithmetic on
+the real and imaginary parts, with the unfolded tables of each degree kept on
+the tables they are given; ``wigner_D`` and ``wigner_d`` are the same product
+applied to the identity.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -49,18 +51,38 @@ class WignerTables:
 
     delta[m, l, m'] = Delta^l_{m,m'} for 0 <= m, m' <= l and zero elsewhere,
     one read-only (L, L, L) array; tables[l] is the full (2l+1) x (2l+1) table
-    of degree l, indexed [l + m, l + m'].
+    of degree l, indexed [l + m, l + m'], read-only and kept on the tables.
+
+    Besides delta, the tables keep what is fixed by them and built on first
+    use: the unfolded tables of the degrees read so far (all degrees below L
+    take about 4/3 of delta) and, in _kernels, the transforms' per-spin
+    kernels that fit one chunk (see transforms._kernel_chunks).
     """
 
     band_limit: int
     delta: np.ndarray
+    _unfolded: list = field(init=False, repr=False, compare=False)  # per degree: the unfold, or None until read
+    _kernels: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_unfolded", [None] * self.band_limit)
 
     def __getitem__(self, degree: int) -> np.ndarray:
+        if not 0 <= degree < self.band_limit:
+            raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
+        full = self._unfolded[degree]
+        if full is None:  # two threads may both unfold a degree; either result is the same table
+            full = self._unfolded[degree] = self._unfold(degree)
+        return full
+
+    def _unfold(self, degree: int) -> np.ndarray:
         # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]
         alt = _signs(np.arange(2 * degree + 1))
         q = self.delta[: degree + 1, degree, : degree + 1]
         top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
-        return np.concatenate([alt * top[:0:-1], top])
+        full = np.concatenate([alt * top[:0:-1], top])
+        full.flags.writeable = False
+        return full
 
 
 @lru_cache(maxsize=8)
@@ -183,11 +205,15 @@ def _rotation_phases(band_limit: int, rot: Rotation) -> np.ndarray:
     return np.exp(-1j * np.outer((rot.gamma, rot.beta, rot.alpha), m)) * _I_POW[[-m % 4, 0 * m, m % 4]]
 
 
-def _rotate_degree(delta: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply D^l(rot) along the last axis of x, given the degree-l Delta table and _rotation_phases(L, rot), L > l."""
-    c, l = phases.shape[1] // 2, delta.shape[0] // 2
-    first, middle, last = phases[:, c - l : c + l + 1]
-    return ((x * first) @ delta.T * middle) @ delta * last
+def _rotate_degree(delta: np.ndarray, middle: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = Delta^T diag(middle) Delta x for the degree-l Delta table, x and out C-contiguous complex (2l+1, k).
+
+    The real table multiplies the real and imaginary parts of x as one real (2l+1, 2k) array;
+    middle is the beta phase column of the degree, (2l+1, 1).
+    """
+    inner = (delta @ x.view(float)).view(complex)
+    inner *= middle
+    return np.matmul(delta.T, inner.view(float), out=out.view(float)).view(complex)
 
 
 def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
@@ -197,7 +223,9 @@ def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
         raise ValueError(f"degree must be >= 0, got {degree}")
     # a one-off table: Delta^l does not depend on the band limit, so caching it would only evict the transforms' tables
     delta = _build_delta(degree + 1)[degree]
-    return _rotate_degree(delta, _rotation_phases(degree + 1, rot), np.eye(2 * degree + 1)).T
+    first, middle, last = _rotation_phases(degree + 1, rot)
+    D = _rotate_degree(delta, middle[:, None], np.diag(first), np.empty((2 * degree + 1,) * 2, dtype=complex))
+    return D * last[:, None]
 
 
 def wigner_d(degree: int, beta: float) -> np.ndarray:

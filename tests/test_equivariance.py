@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,8 +18,8 @@ from swirl.equivariance import (
 )
 from swirl.layers import FilterBank, PhaseCollapseParams, phase_collapse, spectral_conv
 from swirl.signal import SpinCoefficients, degree_slice
-from swirl.transforms import inverse
-from swirl.wigner import Rotation, compute_delta, random_rotations, wigner_D
+from swirl.transforms import forward, inverse
+from swirl.wigner import Rotation, WignerTables, _build_delta, compute_delta, random_rotations, wigner_D
 
 
 def test_rotate_identity_is_identity(rng):
@@ -110,6 +114,66 @@ def test_rotate_coefficients_is_wigner_D_per_degree(rng, L):
     for l in range(L):
         want = co.degree_block(l) @ wigner_D(l, rot).T
         assert np.abs(out.degree_block(l) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
+
+def test_rotation_unfolds_only_the_degrees_it_reads(rng):
+    # The unfolded Delta^l are kept on the tables, read-only, for the degrees read so far.
+    tables = _build_delta(64)
+    rotate_coefficients(random_coefficients(rng, 1, np.array([0, 1]), 4), Rotation.random(rng), tables)
+    assert [l for l, full in enumerate(tables._unfolded) if full is not None] == [0, 1, 2, 3]
+    assert tables[3] is tables._unfolded[3] and not tables[3].flags.writeable
+    assert tables[10].shape == (21, 21) and sum(full is not None for full in tables._unfolded) == 5
+    for degree in (-1, 64):
+        with pytest.raises(IndexError, match=f"degree {degree} is outside"):
+            tables[degree]
+
+
+def test_plans_belong_to_their_tables(rng):
+    # Tables of two band limits, each dropped before the next is made (so the new one takes the dropped
+    # one's id), rotate and transform with what they keep themselves: unfolded Delta^l and kernels.
+    cases = {}
+    for L in (9, 5):
+        co = random_coefficients(rng, 1, np.array([0, 1, 1 - L]), L)
+        sig = inverse(co, compute_delta(L))
+        cases[L] = co, sig, forward(sig, compute_delta(L)), _build_delta(L).delta
+    for L in (9, 5, 9, 5):
+        co, sig, back, delta = cases[L]
+        tables = WignerTables(L, delta)
+        rot = Rotation.random(rng)
+        out = rotate_coefficients(co, rot, tables)
+        for l in range(L):
+            want = co.degree_block(l) @ wigner_D(l, rot).T
+            assert np.abs(out.degree_block(l) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+        np.testing.assert_array_equal(inverse(co, tables).samples, sig.samples)
+        np.testing.assert_array_equal(forward(sig, tables).coeffs, back.coeffs)
+        del tables
+
+
+def test_plans_built_from_threads_give_the_single_threaded_results(rng):
+    # Threads released together rotate and transform with one fresh set of tables, so they unfold degrees
+    # and build, keep and drop kernels (seven spins, four kept) at once; every result is the single-threaded one.
+    L, threads = 40, 8
+    co = random_coefficients(rng, 1, np.arange(-3, 4), L)
+    rot = Rotation.random(rng)
+    want = rotate_coefficients(co, rot, compute_delta(L)).coeffs, inverse(co, compute_delta(L)).samples
+
+    def work(tables, start):
+        start.wait(timeout=60)
+        return rotate_coefficients(co, rot, tables).coeffs, inverse(co, tables).samples
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for _ in range(4):
+                tables, start = _build_delta(L), threading.Barrier(threads)
+                futures = [pool.submit(work, tables, start) for _ in range(threads)]
+                for got in [future.result(timeout=60) for future in futures]:
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+    finally:
+        sys.setswitchinterval(interval)
+
 
 def test_rotate_band_limit_mismatch(rng):
     co = random_coefficients(rng, 1, np.array([0]), 8)

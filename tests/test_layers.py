@@ -12,6 +12,7 @@ from swirl.layers import (
     PhaseCollapseParams,
     ResidualBlockParams,
     phase_collapse,
+    residual_block,
     residual_block_train,
     spectral_batch_norm,
     spectral_conv,
@@ -628,6 +629,45 @@ def test_residual_block_channel_projection(rng):
     out = residual_block_train(sig, params)[0]
     assert out.channels == 8
     np.testing.assert_array_equal(out.spins, [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+def _residual_composition(x, params):
+    """The eval-mode block as the composition of its layers, transforming every channel after each activation."""
+    c_in = forward(x, compute_delta(x.grid.band_limit)) if isinstance(x, SpinSignal) else x
+    pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
+    tables = compute_delta(pooled.band_limit)
+    h = spectral_batch_norm(spectral_conv(pooled, params.bank1), params.bn1, "eval")[0]
+    h = forward(phase_collapse(inverse(h, tables), params.collapse1), tables)
+    h = spectral_batch_norm(spectral_conv(h, params.bank2), params.bn2, "eval")[0]
+    skip = pooled if params.projection is None else spectral_conv(pooled, params.projection)
+    total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins, h.band_limit)
+    out = phase_collapse(inverse(total, tables), params.collapse2)
+    return out if isinstance(x, SpinSignal) else forward(out, tables)
+
+
+@pytest.mark.parametrize("as_signal", [True, False])
+def test_residual_block_matches_the_composition_of_its_layers(rng, as_signal):
+    # The block transforms back only the spin-0 channels after each activation and carries the other
+    # channels' coefficients through; the full round trip gives them back to round-off.
+    L, spins, spins_in, c = 16, (0, 1, -1), (0, 2), 3
+    total = len(spins) * c
+    params = ResidualBlockParams(
+        bank1=FilterBank.random(rng, spins_in, spins, 2, c, 8),
+        bn1=BatchNormState.initialize(total),
+        collapse1=PhaseCollapseParams.random(rng, c, total),
+        bank2=FilterBank.random(rng, spins, spins, c, c, 8),
+        bn2=BatchNormState.initialize(total),
+        collapse2=PhaseCollapseParams.random(rng, c, total),
+        pool_to=8,
+        projection=FilterBank.random(rng, spins_in, spins, 2, c, 8, per_degree=False),
+    )
+    x = random_coefficients(rng, 2, np.repeat(spins_in, 2), L)
+    if as_signal:
+        x = inverse(x, compute_delta(L))
+    params = residual_block_train(x, params)[1]
+    out, want = residual_block(x, params), _residual_composition(x, params)
+    got, want = (out.samples, want.samples) if as_signal else (out.coeffs, want.coeffs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unpool_same_band_limit_is_identity(rng):

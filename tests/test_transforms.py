@@ -21,7 +21,7 @@ from swirl.transforms import (
     inner_products,
     inverse,
 )
-from swirl.wigner import Rotation, compute_delta, wigner_D
+from swirl.wigner import Rotation, _build_delta, compute_delta, wigner_D
 
 SQRT_4PI = 3.5449077018110318
 
@@ -158,6 +158,52 @@ def test_spin_conjugation_matches_reference_synthesis(rng, L):
         assert _max_rel(got, want) < 1e-12
 
 
+def test_kept_kernels_equal_fresh_ones(rng):
+    # A kernel that fits one chunk is built on first use, per band limit and spin, and kept read-only on
+    # the tables; it is the kernel a fresh build gives, so later transforms repeat the first bit for bit.
+    tables = _build_delta(16)
+    co = random_coefficients(rng, 2, np.array([0, 1, -3]), 16)
+    first = inverse(co, tables).samples
+    forward(inverse(random_coefficients(rng, 1, np.array([0]), 8), tables), tables)
+    assert sorted(tables._kernels) == [(8, 0), (16, -3), (16, 0), (16, 1)]
+    for (L, spin), K in tables._kernels.items():
+        assert not K.flags.writeable
+        np.testing.assert_array_equal(K, transforms._kernel(tables, transforms._spin_rows(tables, spin, L), 0, L))
+    np.testing.assert_array_equal(inverse(co, tables).samples, first)
+
+
+@pytest.mark.parametrize("L, kept", [(80, 1), (81, 0), (128, 0)])
+def test_only_kernels_of_one_chunk_are_kept(rng, L, kept):
+    # 8 L^3 bytes fit the 4 MiB chunk up to L = 80; a larger kernel is streamed chunk by chunk and not kept.
+    tables = _build_delta(L)
+    inverse(random_coefficients(rng, 1, np.array([0]), L), tables)
+    assert len(tables._kernels) == kept
+
+
+def test_kept_kernels_are_bounded(rng):
+    # Transforming all 2L - 1 spins keeps only the kernels of the spins used last.
+    L = 32
+    tables = _build_delta(L)
+    spins = np.arange(1 - L, L)
+    forward(inverse(random_coefficients(rng, 1, spins, L), tables), tables)
+    assert transforms._KEPT_KERNELS == 4
+    assert list(tables._kernels) == [(L, int(s)) for s in spins[-4:]]
+
+
+def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
+    # A kept kernel is read only while the budget holds it in one chunk; under a smaller one the
+    # orders are streamed in chunks again and nothing more is kept.
+    L = 8
+    tables = _build_delta(L)
+    co = random_coefficients(rng, 1, np.array([0]), L)
+    want = inverse(co, tables).samples
+    monkeypatch.setattr(transforms, "_KERNEL_CHUNK_BYTES", 3 * 8 * L * L)
+    assert [(mu0, mu1) for mu0, mu1, _ in transforms._kernel_chunks(tables, 0, L)] == [(0, 3), (3, 6), (6, 8)]
+    np.testing.assert_array_equal(inverse(co, tables).samples, want)
+    inverse(random_coefficients(rng, 1, np.array([1]), L), tables)
+    assert list(tables._kernels) == [(L, 0)]
+
+
 @st.composite
 def _conjugation_cases(draw):
     L = draw(st.integers(1, 16))
@@ -258,6 +304,39 @@ def test_containers_reject_a_spin_that_is_not_an_integer(spin):
         else:
             with pytest.raises(ValueError, match=f"spin {spin} must be an integer"):
                 build()
+
+
+def test_coefficients_name_the_first_channel_with_entries_below_its_spin():
+    # Entries below degree |spin| must be zero; the error names the first channel that breaks this.
+    co = np.zeros((2, 4, 16), dtype=complex)
+    co[:, :, 9:] = 1.0  # degree 3 is above every spin
+    co[1, 2, 3] = co[0, 3, 8] = 1.0  # degree 1 in spin-2 channel 2, degree 2 in spin-3 channel 3
+    with pytest.raises(ValueError, match=r"channel 2 has nonzero coefficients below degree \|spin\|=2"):
+        SpinCoefficients(co, np.array([0, 1, -2, 3]), 4)
+    co[1, 2, 3] = 0.0
+    with pytest.raises(ValueError, match=r"channel 3 has nonzero coefficients below degree \|spin\|=3"):
+        SpinCoefficients(co, np.array([0, 1, -2, 3]), 4)
+    co[0, 3, 8] = 0.0
+    assert SpinCoefficients(co, np.array([0, 1, -2, 3]), 4).channels == 4
+
+
+@pytest.mark.parametrize("value", [4.0, 4.5])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: FilterBank.random(np.random.default_rng(0), (0,), (0,), 1, 1, v).band_limit, "band limit"),
+        (lambda v: smooth_harness_signal(np.random.default_rng(0), v, (0, 1), 1).grid.band_limit, "band limit"),
+        (lambda v: make_grid(2 * v).band_limit, "grid resolution"),
+    ],
+)
+def test_filter_banks_harness_signals_and_grids_take_integral_floats(build, name, value):
+    # The integer rule of the containers: 4.0 is 4 (8.0 is grid resolution 8), 4.5 (9.0) is a ValueError naming it.
+    if value == int(value):
+        got = build(value)
+        assert isinstance(got, (int, np.integer)) and got == 4
+    else:
+        with pytest.raises(ValueError, match="must be an integer" if name == "band limit" else "even integer"):
+            build(value)
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5])

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+import swirl
 from swirl import reference, wigner
 from swirl.bench import BenchSpec, run_bench
 from swirl.wigner import MAX_BAND_LIMIT, Rotation, compute_delta, random_rotations, wigner_D, wigner_d
@@ -19,6 +25,15 @@ def test_delta_degree_one_values():
     assert d[c + 0, c + 0] == pytest.approx(0.0, abs=1e-15)
     assert d[c + 1, c + 1] == pytest.approx(0.5, abs=1e-15)
     assert d[c + 1, c + 0] == pytest.approx(-0.7071067811865476, abs=1e-15)
+
+
+def test_importing_verification_does_not_load_mpmath():
+    # Only reference.wigner_d_explicit_mp uses mpmath, and it imports it when called.
+    code = "import sys, swirl.verification; print('mpmath' in sys.modules)"
+    src = str(Path(swirl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 def test_delta_degree_eight_entry_vs_sum_formula():
