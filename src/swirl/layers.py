@@ -151,14 +151,21 @@ def phase_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSigna
     over all channels (all spins, including zero), which discards the
     rotation-induced phases of the nonzero-spin features.
     """
+    stack = _spin_zero_collapse(signal, params)
+    out = signal.samples.copy()
+    out[:, signal.spins == 0] = stack
+    return SpinSignal(out, signal.spins.copy(), signal.grid)
+
+
+def _spin_zero_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> np.ndarray:
+    """The new spin-0 stack W1 x0 + W2 |x| + b, shape (batch, spin-0 channels, n, n)."""
     zero = signal.spins == 0
     if params.w2.shape != (zero.sum(), signal.channels):
         raise ValueError(f"phase-collapse w2 of shape {params.w2.shape} does not fit the signal's "
                          f"{zero.sum()} spin-0 channels of {signal.channels}")
     x = signal.samples.reshape(signal.batch, signal.channels, -1)
-    out = x.copy()
-    out[:, zero] = params.w1 @ x[:, zero] + params.w2 @ np.abs(x) + params.bias[:, None]
-    return SpinSignal(out.reshape(signal.samples.shape), signal.spins.copy(), signal.grid)
+    stack = params.w1 @ x[:, zero] + params.w2 @ np.abs(x) + params.bias[:, None]
+    return stack.reshape((signal.batch, -1) + signal.samples.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,9 @@ def residual_block_train(x, params: ResidualBlockParams, config: TransformConfig
 
 
 def _residual_impl(x, params, config, mode):
+    """Both residual-block entry points.  Where an activation's result goes back to
+    coefficients, only its new spin-0 stack is made and transformed: the activation
+    leaves the other channels' samples, whose transform is the coefficients' own."""
     is_signal = isinstance(x, SpinSignal)
     c_in = forward(x, compute_delta(x.grid.band_limit), config) if is_signal else x
     if _needs_projection(params) and params.projection is None:
@@ -318,7 +328,7 @@ def _residual_impl(x, params, config, mode):
 
     h = spectral_conv(pooled, params.bank1)
     h, bn1 = spectral_batch_norm(h, params.bn1, mode)
-    h = _collapse_coefficients(h, phase_collapse(inverse(h, tables, config), params.collapse1), tables, config)
+    h = _collapse_coefficients(h, params.collapse1, tables, config)
     h = spectral_conv(h, params.bank2)
     h, bn2 = spectral_batch_norm(h, params.bn2, mode)
 
@@ -327,17 +337,19 @@ def _residual_impl(x, params, config, mode):
         raise ValueError("skip path signature does not match main path output")
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)
 
-    out = phase_collapse(inverse(total, tables, config), params.collapse2)
-    if not is_signal:
-        out = _collapse_coefficients(total, out, tables, config)
+    if is_signal:
+        out = phase_collapse(inverse(total, tables, config), params.collapse2)
+    else:
+        out = _collapse_coefficients(total, params.collapse2, tables, config)
     return out, replace(params, bn1=bn1, bn2=bn2)
 
 
-def _collapse_coefficients(coeffs: SpinCoefficients, collapsed: SpinSignal, tables, config) -> SpinCoefficients:
-    """forward(collapsed), where collapsed is phase_collapse(inverse(coeffs)): only the spin-0 channels are
-    transformed, as the collapse leaves the others' samples, whose transform is coeffs' own to round-off."""
+def _collapse_coefficients(coeffs: SpinCoefficients, params: PhaseCollapseParams, tables, config) -> SpinCoefficients:
+    """forward(phase_collapse(inverse(coeffs))), with the forward taken of the new spin-0 stack only."""
+    signal = inverse(coeffs, tables, config)
     zero = coeffs.spins == 0
+    spin_zero = SpinSignal(_spin_zero_collapse(signal, params), coeffs.spins[zero], signal.grid)
+    del signal
     out = coeffs.coeffs.copy()
-    spin_zero = SpinSignal(collapsed.samples[:, zero], coeffs.spins[zero], collapsed.grid)
     out[:, zero] = forward(spin_zero, tables, config).coeffs
     return SpinCoefficients(out, coeffs.spins.copy(), coeffs.band_limit)

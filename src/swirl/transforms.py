@@ -35,6 +35,13 @@ All four backend/path combinations agree to rounding.  The colatitude maps and t
 flat-order maps are cached per (L, parity) and (L, spin).  A spin's kernel that fits one
 chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables,
 for the four spins used last; a larger one is rebuilt per call, one chunk at a time.
+
+Besides its input and output, a call holds the per-order buffers of one spin (the
+order-major operand and product, each half the samples of the spin's maps, freed
+before the next spin) and the temporaries of one chunk of maps: the longitude and
+colatitude stages, folds and order-major transposes run over chunks of the flat
+(batch * channel) axis whose samples take at most _MAP_CHUNK_BYTES (1 MiB).  The
+per-order product stays whole-batch, so kernels are read once per spin and call.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ DEFAULT_CONFIG = TransformConfig()
 
 _KERNEL_CHUNK_BYTES = 4 << 20  # byte budget of one chunk of kernel orders
 _KEPT_KERNELS = 4  # one-chunk kernels kept per table, the spins used last
+_MAP_CHUNK_BYTES = 1 << 20  # byte budget of the samples of one chunk of maps in the per-map stages
 
 
 @lru_cache(maxsize=32)
@@ -176,14 +184,26 @@ def _check_tables(band_limit: int, tables: WignerTables):
         raise ValueError(f"tables band limit {tables.band_limit} is smaller than required {band_limit}")
 
 
+def _spin_maps(spins: np.ndarray, batch: int):
+    """(spin, flat indices b * channels + c of its maps, batch-major) for each distinct spin."""
+    for spin in np.unique(spins):
+        yield int(spin), (np.arange(batch)[:, None] * len(spins) + np.flatnonzero(spins == spin)).ravel()
+
+
+def _map_chunks(count: int, L: int) -> list:
+    """Slices of count maps, each chunk's samples (n x n complex, n = 2L) within _MAP_CHUNK_BYTES."""
+    step = max(1, _MAP_CHUNK_BYTES // (64 * L * L))
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
 def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinCoefficients:
     """Forward transform of every channel of a signal."""
     L = signal.grid.band_limit
     _check_tables(L, tables)
     out = np.zeros(signal.samples.shape[:2] + (num_coefficients(L),), dtype=complex)
-    for spin in np.unique(signal.spins):
-        sel = signal.spins == spin
-        out[:, sel] = _forward_block(signal.samples[:, sel], int(spin), L, tables, config)
+    samples, flat = signal.samples.reshape((-1,) + signal.samples.shape[2:]), out.reshape(-1, L * L)
+    for spin, maps in _spin_maps(signal.spins, signal.batch):
+        _forward_block(samples, maps, spin, L, tables, config, flat)
     return SpinCoefficients(out, signal.spins.copy(), L)
 
 
@@ -258,24 +278,27 @@ def _per_order(x, spin, L, tables, adjoint):
             out[mu0:mu1] = np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:])
         else:
             out[mu0:mu1, l0:] = np.matmul(K, x[mu0:mu1])
+        del K  # or the chunk stays alive while the next one is built
     return out
 
 
-def _forward_block(samples, spin, L, tables, config):
+def _forward_block(samples, maps, spin, L, tables, config, out):
+    """Write the coefficients of the maps samples[maps] of one spin into the rows out[maps]."""
     c = L - 1
-    I = _analysis(samples, spin, L, config.fourier_backend, config.symmetry_path == "reduced")
-    if config.symmetry_path == "full":
-        I = _fold(I, _signs(np.arange(-c, L) + spin))
-    lead = I.shape[:-2]
-    B = int(np.prod(lead))
-    I = I.reshape((B, L, 2 * L - 1))
+    reduced = config.symmetry_path == "reduced"
     # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
-    x = np.empty((L, L, 2, B), dtype=complex)
-    x[:, :, 0] = I[:, :, c:].transpose(2, 1, 0)
-    x[:, :, 1] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
-    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=False)
+    x = np.empty((L, L, 2, len(maps)), dtype=complex)
+    for chunk in _map_chunks(len(maps), L):
+        I = _analysis(samples[maps[chunk]], spin, L, config.fourier_backend, reduced)
+        if not reduced:
+            I = _fold(I, _signs(np.arange(-c, L) + spin))
+        x[:, :, 0, chunk] = I[:, :, c:].transpose(2, 1, 0)
+        x[:, :, 1, chunk] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
+    y = _per_order(x.view(float).reshape(L, L, 4 * len(maps)), spin, L, tables, adjoint=False)
+    y = y.view(complex).reshape(2 * L * L, len(maps))
     rows, phases = _flat_orders(L, spin)
-    return (y.view(complex).reshape(2 * L * L, B)[rows] * phases.conj()[:, None]).T.reshape(lead + (L * L,))
+    for chunk in _map_chunks(len(maps), L):
+        out[maps[chunk]] = (y[rows, chunk] * phases.conj()[:, None]).T
 
 
 def g_matrix(coeffs: SpinCoefficients, tables: WignerTables) -> np.ndarray:
@@ -287,26 +310,31 @@ def g_matrix(coeffs: SpinCoefficients, tables: WignerTables) -> np.ndarray:
     L = coeffs.band_limit
     _check_tables(L, tables)
     out = np.zeros(coeffs.coeffs.shape[:2] + (2 * L - 1, 2 * L - 1), dtype=complex)
-    for spin in np.unique(coeffs.spins):
-        sel = coeffs.spins == spin
-        out[:, sel] = _unfold(_g_rows(coeffs.coeffs[:, sel], int(spin), L, tables), int(spin))
+    flat = out.reshape((-1,) + out.shape[2:])
+    for spin, maps, G in _g_rows(coeffs, tables):
+        flat[maps] = _unfold(G, spin)
     return out
 
 
-def _g_rows(flat, spin, L, tables):
-    """G_{m',m} on the rows m' >= 0, shape flat.shape[:-1] + (L, 2L-1)."""
+def _g_rows(coeffs, tables):
+    """(spin, flat indices of a chunk of its maps, G_{m',m} of those maps on the rows m' >= 0, (k, L, 2L-1))
+    for every spin and chunk of maps; the per-order product is made once for all of a spin's maps."""
+    L = coeffs.band_limit
     c = L - 1
-    lead = flat.shape[:-1]
-    B = int(np.prod(lead))
-    rows, phases = _flat_orders(L, spin)
-    x = np.zeros((L, L, 2, B), dtype=complex)
-    x.reshape(2 * L * L, B)[rows] = (flat.reshape(B, L * L) * phases).T
-    y = _per_order(x.view(float).reshape(L, L, 4 * B), spin, L, tables, adjoint=True)
-    y = y.view(complex).reshape(L, L, 2, B)
-    G = np.empty((B, L, 2 * L - 1), dtype=complex)
-    G[:, :, c:] = y[:, :, 0].transpose(2, 1, 0)
-    G[:, :, :c] = (_signs(np.arange(L))[:, None] * y[:0:-1, :, 1]).transpose(2, 1, 0)  # (-1)^m'
-    return G.reshape(lead + (L, 2 * L - 1))
+    flat = coeffs.coeffs.reshape(-1, L * L)
+    for spin, maps in _spin_maps(coeffs.spins, coeffs.batch):
+        rows, phases = _flat_orders(L, spin)
+        x = np.zeros((2 * L * L, len(maps)), dtype=complex)
+        x[rows] = (flat[maps] * phases).T
+        y = _per_order(x.view(float).reshape(L, L, 4 * len(maps)), spin, L, tables, adjoint=True)
+        del x
+        y = y.view(complex).reshape(L, L, 2, len(maps))
+        for chunk in _map_chunks(len(maps), L):
+            G = np.empty((len(maps[chunk]), L, 2 * L - 1), dtype=complex)
+            G[:, :, c:] = y[:, :, 0, chunk].transpose(2, 1, 0)
+            G[:, :, :c] = (_signs(np.arange(L))[:, None] * y[:0:-1, :, 1, chunk]).transpose(2, 1, 0)  # (-1)^m'
+            yield spin, maps[chunk], G
+        del y  # before the next spin's product
 
 
 def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinSignal:
@@ -315,9 +343,8 @@ def inverse(coeffs: SpinCoefficients, tables: WignerTables, config: TransformCon
     _check_tables(L, tables)
     grid = coeffs.grid()
     out = np.empty(coeffs.coeffs.shape[:2] + (grid.n, grid.n), dtype=complex)
+    flat = out.reshape((-1, grid.n, grid.n))
     reduced = config.symmetry_path == "reduced"
-    for spin in np.unique(coeffs.spins):
-        sel = coeffs.spins == spin
-        G = _g_rows(coeffs.coeffs[:, sel], int(spin), L, tables)
-        out[:, sel] = _synthesis(G if reduced else _unfold(G, int(spin)), int(spin), L, config.fourier_backend, reduced)
+    for spin, maps, G in _g_rows(coeffs, tables):
+        flat[maps] = _synthesis(G if reduced else _unfold(G, spin), spin, L, config.fourier_backend, reduced)
     return SpinSignal(out, coeffs.spins.copy(), grid)

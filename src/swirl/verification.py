@@ -151,7 +151,7 @@ def check_wigner_orthogonality(seed=0):
     err_orth = 0.0
     err_sym = 0.0
     for l in range(max_degree + 1):
-        D = tables[l]
+        D = tables._unfold(l)  # one-off: tables[l] would keep every unfold on the cached tables
         err_orth = max(err_orth, np.abs(D @ D.T - np.eye(2 * l + 1)).max())
         m = np.arange(-l, l + 1)
         signs = np.where((m[:, None] - m[None, :]) % 2 == 0, 1.0, -1.0)

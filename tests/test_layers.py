@@ -670,6 +670,53 @@ def test_residual_block_matches_the_composition_of_its_layers(rng, as_signal):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _spin_zero_composition(x, params, mode):
+    """The block through the public phase_collapse, keeping the transform of each activation's spin-0
+    channels only; returns (output, bn1, bn2)."""
+    def collapse(coeffs, collapse_params):
+        full = forward(phase_collapse(inverse(coeffs, tables), collapse_params), tables)
+        out = coeffs.coeffs.copy()
+        out[:, coeffs.spins == 0] = full.coeffs[:, coeffs.spins == 0]
+        return SpinCoefficients(out, coeffs.spins, coeffs.band_limit)
+
+    c_in = forward(x, compute_delta(x.grid.band_limit)) if isinstance(x, SpinSignal) else x
+    pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
+    tables = compute_delta(pooled.band_limit)
+    h, bn1 = spectral_batch_norm(spectral_conv(pooled, params.bank1), params.bn1, mode)
+    h, bn2 = spectral_batch_norm(spectral_conv(collapse(h, params.collapse1), params.bank2), params.bn2, mode)
+    skip = pooled if params.projection is None else spectral_conv(pooled, params.projection)
+    total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins, h.band_limit)
+    if isinstance(x, SpinSignal):
+        return phase_collapse(inverse(total, tables), params.collapse2).samples, bn1, bn2
+    return collapse(total, params.collapse2).coeffs, bn1, bn2
+
+
+@pytest.mark.parametrize("as_signal", [True, False])
+def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal):
+    # The block collapses only the spin-0 stack and transforms it back; the public phase_collapse,
+    # transformed whole, gives the same spin-0 coefficients bit for bit, in train and in eval mode.
+    L, spins, c = 16, (0, 1), 4
+    total = len(spins) * c
+    params = ResidualBlockParams(
+        bank1=FilterBank.random(rng, spins, spins, c, c, L),
+        bn1=BatchNormState.initialize(total),
+        collapse1=PhaseCollapseParams.random(rng, c, total),
+        bank2=FilterBank.random(rng, spins, spins, c, c, L),
+        bn2=BatchNormState.initialize(total),
+        collapse2=PhaseCollapseParams.random(rng, c, total),
+    )
+    x = random_coefficients(rng, 3, np.repeat(spins, c), L)
+    if as_signal:
+        x = inverse(x, compute_delta(L))
+    out, trained = residual_block_train(x, params)
+    want, bn1, bn2 = _spin_zero_composition(x, params, "train")
+    np.testing.assert_array_equal(out.samples if as_signal else out.coeffs, want)
+    np.testing.assert_array_equal(trained.bn1.running_variance, bn1.running_variance)
+    np.testing.assert_array_equal(trained.bn2.running_variance, bn2.running_variance)
+    out = residual_block(x, trained)
+    np.testing.assert_array_equal(out.samples if as_signal else out.coeffs, _spin_zero_composition(x, trained, "eval")[0])
+
+
 def test_unpool_same_band_limit_is_identity(rng):
     L = 8
     co = random_coefficients(rng, 1, np.array([0]), L)

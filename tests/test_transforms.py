@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,62 @@ def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
     np.testing.assert_array_equal(inverse(co, tables).samples, want)
     inverse(random_coefficients(rng, 1, np.array([1]), L), tables)
     assert list(tables._kernels) == [(L, 0)]
+
+
+def _traced_peak(call):
+    """(result, peak bytes allocated during call) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_per_order_holds_one_kernel_chunk_at_a_time(adjoint):
+    # At L=128 the kernel streams in 4 MiB chunks of orders; each is dropped before the next is built.
+    L = 128
+    tables = compute_delta(L)
+    x = np.ones((L, L, 4))
+    transforms._per_order(x, 0, L, tables, adjoint)  # caches outside the per-order product
+    _, peak = _traced_peak(lambda: transforms._per_order(x, 0, L, tables, adjoint))
+    # one 4 MiB chunk and the 0.5 MiB output; two chunks alive at once would take 7 MiB
+    assert peak <= 1.5 * transforms._KERNEL_CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("batch, channels, L", [(4, 16, 64), (18, 32, 16)])
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+def test_transforms_work_in_bounded_memory(rng, batch, channels, L, config):
+    # The per-map stages stream chunks of maps, so a forward holds little beyond its input and output
+    # and an inverse little beyond its output and one spin's per-order product.
+    tables = compute_delta(L)
+    co = random_coefficients(rng, batch, np.repeat([0, 1], channels // 2), L)
+    sig = inverse(co, tables, config)
+    forward(sig, tables, config)  # kept kernels and cached maps are made once, not per call
+    out, peak = _traced_peak(lambda: inverse(co, tables, config))
+    assert peak <= 2.0 * out.samples.nbytes, f"inverse peak {peak / out.samples.nbytes:.3f}x its output"
+    _, peak = _traced_peak(lambda: forward(sig, tables, config))
+    assert peak <= 1.25 * sig.samples.nbytes, f"forward peak {peak / sig.samples.nbytes:.3f}x its input"
+
+
+@pytest.mark.parametrize(
+    "batch, spins, L",
+    [(3, [0, 1, 1], 8), (0, [0, 1], 8), (2, [1, 0, -2, 0, 1], 9), (7, [0], 6)],
+)
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+def test_map_chunks_do_not_change_results(rng, monkeypatch, batch, spins, L, config):
+    # Chunks of one map, of three (7 and 4 maps of one spin are not multiples of it) and of every map give
+    # the same bits: the per-map stages act map by map and the per-order product always takes all.
+    tables = compute_delta(L)
+    co = random_coefficients(rng, batch, np.array(spins), L)
+    sig = _signal(rng.normal(size=(batch, len(spins), 2 * L, 2 * L)), spins, make_grid(2 * L))
+    results = []
+    for maps in (1, 3, None):
+        monkeypatch.setattr(transforms, "_MAP_CHUNK_BYTES", 64 * L * L * maps if maps else 1 << 62)
+        results.append((forward(sig, tables, config).coeffs, inverse(co, tables, config).samples, g_matrix(co, tables)))
+    for got in results[:-1]:
+        for a, b in zip(got, results[-1]):
+            np.testing.assert_array_equal(a, b)
 
 
 @st.composite

@@ -68,6 +68,16 @@ def test_delta_orthogonality_and_symmetry():
 
 
 
+def test_orthogonality_check_keeps_no_unfolded_tables(monkeypatch):
+    # The check reads all 128 degrees once; unfolding them one-off leaves nothing on the cached tables.
+    from swirl import verification
+
+    tables = wigner._build_delta(128)
+    monkeypatch.setattr(verification, "compute_delta", lambda band_limit: tables)
+    assert all(row.passed for row in verification.check_wigner_orthogonality())
+    assert sum(full is not None for full in tables._unfolded) == 0
+
+
 def test_every_unfolded_table_of_l64_keeps_both_index_symmetries():
     # tables[l] reads both sign patterns from one alternation; each entry is a
     # stored quadrant entry times +-1, so the symmetries hold bitwise.
