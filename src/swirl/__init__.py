@@ -26,7 +26,6 @@ _SUBMODULES = (
 _EXPORTS = {
     "SphericalGrid": "grid",
     "make_grid": "grid",
-    "extend_to_torus": "grid",
     "SpinSignal": "signal",
     "SpinCoefficients": "signal",
     "WignerTables": "wigner",

@@ -1,23 +1,23 @@
-"""Equiangular spherical sampling and its torus extension.
+"""Equiangular spherical sampling and its quadrature weights.
 
 The sampling is an n x n grid (colatitude x longitude) with pole-free
 colatitudes theta_j = pi*(2j+1)/(2n) and uniform longitudes
-phi_k = 2*pi*k/n.  Signals are extended to the torus by mirroring the
-colatitude axis with a spin-dependent parity, after which ordinary 2D
-Fourier analysis computes exact spherical inner products for
-band-limited integrands.
+phi_k = 2*pi*k/n.  The colatitude-frequency weights w(k) realize the
+sin(theta) measure exactly for band-limited integrands: weight_matrix
+applies them to colatitude spectra (the transforms' colatitude maps) and
+colatitude_weights to the samples' rows (spherical_integral).
+extend_samples is the torus extension those weights presume, mirroring
+the colatitude axis with a spin-dependent parity; the verify rows
+grid.extension.* check that rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .signal import SpinSignal
 
 @dataclass(frozen=True)
 class SphericalGrid:
@@ -75,37 +75,6 @@ def parity_sign(spin: int) -> float:
     return -1.0 if spin % 2 else 1.0
 
 
-@dataclass(frozen=True)
-class TorusExtension:
-    """Row bookkeeping of the torus extension of a grid.
-
-    extended_rows[j] is the source colatitude row sampled by extension
-    row j (rows >= n mirror the sphere); the longitude axis of mirrored
-    rows is rolled by n/2 and scaled by the spin parity.
-    """
-
-    source: SphericalGrid
-    extended_rows: np.ndarray
-
-    def __post_init__(self):
-        self.extended_rows.flags.writeable = False
-
-    @staticmethod
-    def for_grid(grid: SphericalGrid) -> "TorusExtension":
-        n = grid.n
-        rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1) - n])
-        return TorusExtension(source=grid, extended_rows=rows)
-
-    @staticmethod
-    def parity(order: int, spin: int) -> float:
-        """Sign picked up by longitude frequency `order` of a spin-`spin` signal.
-
-        The phi -> phi + pi shift contributes (-1)**order on top of the
-        spin parity; this is the sign that folds I and G across m' = 0.
-        """
-        return -1.0 if (order + spin) % 2 else 1.0
-
-
 def extend_samples(samples: np.ndarray, spin: int, n: int) -> np.ndarray:
     """Extend samples (..., n, n) to the torus (..., 2n, n).
 
@@ -117,18 +86,6 @@ def extend_samples(samples: np.ndarray, spin: int, n: int) -> np.ndarray:
         raise ValueError(f"expected trailing sample shape ({n}, {n}), got {samples.shape[-2:]}")
     mirrored = np.roll(samples[..., ::-1, :], n // 2, axis=-1) * parity_sign(spin)
     return np.concatenate([samples, mirrored], axis=-2)
-
-
-def extend_to_torus(signal: "SpinSignal", grid: SphericalGrid) -> np.ndarray:
-    """Torus extension of every channel of a signal, shape (B, C, 2n, n)."""
-    if signal.grid.n != grid.n:
-        raise ValueError(f"signal grid n={signal.grid.n} does not match grid n={grid.n}")
-    n = grid.n
-    out = np.empty(signal.samples.shape[:-2] + (2 * n, n), dtype=complex)
-    for spin in np.unique(signal.spins):
-        sel = signal.spins == spin
-        out[:, sel] = extend_samples(signal.samples[:, sel], int(spin), n)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ A spin-s transform on the n x n grid (n = 2L) is three linear stages:
 All four backend/path combinations agree to rounding.  The colatitude maps and the
 flat-order maps are cached per (L, parity) and (L, spin).  A spin's kernel that fits one
 chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables,
-for the four spins used last; a larger one is rebuilt per call, one chunk at a time.
+for the first four (L, spin) a table builds; any other is rebuilt per call, one chunk at a time.
 
 Besides its input and output, a call holds the per-order buffers of one spin (the
 order-major operand and product, each half the samples of the spin's maps, freed
@@ -80,7 +80,7 @@ class TransformConfig:
 DEFAULT_CONFIG = TransformConfig()
 
 _KERNEL_CHUNK_BYTES = 4 << 20  # byte budget of one chunk of kernel orders
-_KEPT_KERNELS = 4  # one-chunk kernels kept per table, the spins used last
+_KEPT_KERNELS = 4  # one-chunk kernels kept per table: the first four (L, spin) a table builds
 _MAP_CHUNK_BYTES = 1 << 20  # byte budget of the samples of one chunk of maps in the per-map stages
 
 
@@ -220,53 +220,36 @@ def _flat_orders(L: int, spin: int):
     return rows, phases
 
 
-def _kernel(tables, rows, mu0, mu1):
-    """Orders mu0 <= m < mu1 of the kernel on the rows m' >= 0, shape (mu1 - mu0, L - l0, L).
-
-    Entry [m, l, m'] is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'} (K_s up to the
-    order sign (-1)^(m+s)) for degrees l >= l0 = max(mu0, |s|), given the spin
-    rows alpha_l Delta^l_{-s,m'} of the degrees l >= |s|, (L - |s|, L); the
-    quadrant's zeros fill the entries m > l and m' > l.
-    """
-    L = rows.shape[1]
-    l0 = max(mu0, L - len(rows))
-    return tables.delta[mu0:mu1, l0:L, :L] * rows[l0 - L :]
-
-
-def _spin_rows(tables, spin, L):
-    """alpha_l Delta^l_{-s,m'} for the degrees |s| <= l < L and 0 <= m' < L, shape (L - |s|, L)."""
-    l = np.arange(abs(spin), L)[:, None]
-    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
-    return np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[abs(spin), abs(spin) : L, :L]
-
-
 def _kernel_chunks(tables, spin, L):
     """(mu0, mu1, kernel of the orders mu0 <= m < mu1) covering all orders, in chunks of _KERNEL_CHUNK_BYTES.
 
-    A kernel that fits one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is built
-    once and kept on the tables for the _KEPT_KERNELS spins used last; larger
-    ones are built from spin rows made once per call, one chunk alive at a time.
+    Entry [m, l, m'] of a chunk, shape (mu1 - mu0, L - l0, L), is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}
+    (K_s up to the order sign (-1)^(m+s)) for the degrees l >= l0 = max(mu0, |s|); the quadrant's zeros
+    fill the entries m > l and m' > l.  A kernel that fits one chunk (8 L^3 bytes, so L <= 80 at 4 MiB)
+    is kept read-only on the tables, for the first _KEPT_KERNELS (L, spin) they build; any other is
+    built per call, one chunk alive at a time.
     """
     step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
-    if step < L:
-        rows = _spin_rows(tables, spin, L)
-        for mu0 in range(0, L, step):
-            mu1 = min(mu0 + step, L)
-            yield mu0, mu1, _kernel(tables, rows, mu0, mu1)
-        return
     kept = tables._kernels
-    K = kept.pop((L, spin), None)
-    if K is None:
-        K = _kernel(tables, _spin_rows(tables, spin, L), 0, L)
-        K.flags.writeable = False
-    kept[L, spin] = K  # the most recently used, last
-    for old in list(kept)[:-_KEPT_KERNELS]:
-        kept.pop(old, None)  # None: another thread may have dropped it first
-    yield 0, L, K
+    if step >= L and (L, spin) in kept:
+        yield 0, L, kept[L, spin]
+        return
+    a = abs(spin)
+    l = np.arange(a, L)[:, None]
+    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
+    rows = np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[a, a:L, :L]  # alpha_l Delta^l_{-s,m'}
+    for mu0 in range(0, L, step):
+        mu1, l0 = min(mu0 + step, L), max(mu0, a)
+        K = tables.delta[mu0:mu1, l0:L, :L] * rows[l0 - a :]
+        if step >= L and len(kept) < _KEPT_KERNELS:
+            K.flags.writeable = False
+            kept[L, spin] = K
+        yield mu0, mu1, K
+        del K  # as in _per_order
 
 
 def _per_order(x, spin, L, tables, adjoint):
-    """One matmul per order against the kernel, chunk by chunk (see _kernel_chunks).
+    """One matmul per order against the kernel, chunk by chunk (see _kernel_chunks), written in place.
 
     x is real, (L, L, k) with axes (|m|, m', k) for the forward and (|m|, l, k)
     for the adjoint; the output has the other of the two middle axes.
@@ -275,9 +258,9 @@ def _per_order(x, spin, L, tables, adjoint):
     for mu0, mu1, K in _kernel_chunks(tables, spin, L):
         l0 = L - K.shape[1]
         if adjoint:
-            out[mu0:mu1] = np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:])
+            np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:], out=out[mu0:mu1])
         else:
-            out[mu0:mu1, l0:] = np.matmul(K, x[mu0:mu1])
+            np.matmul(K, x[mu0:mu1], out=out[mu0:mu1, l0:])
         del K  # or the chunk stays alive while the next one is built
     return out
 

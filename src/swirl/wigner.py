@@ -24,7 +24,6 @@ applied to the identity.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,14 +54,14 @@ class WignerTables:
 
     Besides delta, the tables keep what is fixed by them and built on first
     use: the unfolded tables of the degrees read so far (all degrees below L
-    take about 4/3 of delta) and, in _kernels, the transforms' per-spin
-    kernels that fit one chunk (see transforms._kernel_chunks).
+    take about 4/3 of delta) and, in the plain dict _kernels, the first few
+    one-chunk spin kernels of the transforms (see transforms._kernel_chunks).
     """
 
     band_limit: int
     delta: np.ndarray
     _unfolded: list = field(init=False, repr=False, compare=False)  # per degree: the unfold, or None until read
-    _kernels: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_unfolded", [None] * self.band_limit)

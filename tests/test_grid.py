@@ -5,13 +5,11 @@ from swirl import reference
 from swirl.grid import (
     colatitude_weights,
     extend_samples,
-    extend_to_torus,
     frequency_weights,
     make_grid,
     spherical_integral,
     weight_matrix,
 )
-from swirl.signal import SpinSignal
 from swirl.transforms import inner_products
 
 
@@ -65,14 +63,22 @@ def test_double_extension_identity(rng, spin):
     np.testing.assert_array_equal(undone, samples)
 
 
-def test_extend_to_torus_shape_mismatch(rng):
-    grid = make_grid(8)
-    other = make_grid(4)
-    sig = SpinSignal(rng.normal(size=(1, 1, 8, 8)).astype(complex), np.array([0]), grid)
-    with pytest.raises(ValueError):
-        extend_to_torus(sig, other)
-    with pytest.raises(ValueError):
-        extend_samples(sig.samples, 0, 4)
+def test_extend_samples_rejects_a_size_mismatch(rng):
+    samples = rng.normal(size=(1, 1, 8, 8)).astype(complex)
+    with pytest.raises(ValueError, match="expected trailing sample shape"):
+        extend_samples(samples, 0, 4)
+
+
+@pytest.mark.parametrize("spin", [0, 1, 2, -1])
+def test_extend_samples_mirrors_the_longitude_spectrum(rng, spin):
+    # The longitude spectrum of the mirrored rows is the sphere's, back to front, times (-1)**(order + spin):
+    # the half-turn roll gives (-1)**order and the spin parity the rest.
+    n = 8
+    samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    spectrum = np.fft.fft(extend_samples(samples, spin, n), axis=-1)
+    order = np.arange(n)
+    expected = (-1.0) ** (order + spin) * spectrum[:n][::-1]
+    np.testing.assert_allclose(spectrum[n:], expected, atol=1e-10 * np.abs(spectrum).max())
 
 
 def test_quadrature_weight_values():
@@ -140,34 +146,3 @@ def test_weight_matrix_and_row_weights_consistent():
     lam = colatitude_weights(n)
     assert lam.sum() * n == pytest.approx(4 * np.pi)
     assert np.all(lam > 0)
-
-
-def test_extend_to_torus_full_signal(rng):
-    grid = make_grid(8)
-    samples = rng.normal(size=(2, 2, 8, 8)) + 1j * rng.normal(size=(2, 2, 8, 8))
-    sig = SpinSignal(samples, np.array([0, 1]), grid)
-    ext = extend_to_torus(sig, grid)
-    assert ext.shape == (2, 2, 16, 8)
-    np.testing.assert_array_equal(ext[:, :, :8], samples)
-    np.testing.assert_array_equal(ext[:, 0, 8:], extend_samples(samples[:, 0], 0, 8)[:, 8:])
-    np.testing.assert_array_equal(ext[:, 1, 8:], extend_samples(samples[:, 1], 1, 8)[:, 8:])
-
-
-def test_torus_extension_row_map_and_parity(rng):
-    from swirl.grid import TorusExtension
-
-    grid = make_grid(8)
-    ext = TorusExtension.for_grid(grid)
-    n = grid.n
-    assert ext.extended_rows.shape == (2 * n,)
-    np.testing.assert_array_equal(ext.extended_rows[:n], np.arange(n))
-    # mirrored rows read the sphere back-to-front
-    np.testing.assert_array_equal(ext.extended_rows[n:], np.arange(n - 1, -1, -1))
-    # the (order, spin) sign map matches the samples produced by extend_samples
-    samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for spin in (0, 1):
-        rows = extend_samples(samples, spin, n)
-        spectrum = np.fft.fft(rows, axis=-1)
-        for order in (0, 1, 2, 3):
-            expected = TorusExtension.parity(order, spin) * spectrum[:n][::-1, order]
-            np.testing.assert_allclose(spectrum[n:, order], expected, atol=1e-10 * np.abs(spectrum).max())

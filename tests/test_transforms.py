@@ -169,7 +169,9 @@ def test_kept_kernels_equal_fresh_ones(rng):
     assert sorted(tables._kernels) == [(8, 0), (16, -3), (16, 0), (16, 1)]
     for (L, spin), K in tables._kernels.items():
         assert not K.flags.writeable
-        np.testing.assert_array_equal(K, transforms._kernel(tables, transforms._spin_rows(tables, spin, L), 0, L))
+        [(mu0, mu1, fresh)] = transforms._kernel_chunks(_build_delta(16), spin, L)
+        assert (mu0, mu1) == (0, L)
+        np.testing.assert_array_equal(K, fresh)
     np.testing.assert_array_equal(inverse(co, tables).samples, first)
 
 
@@ -182,13 +184,19 @@ def test_only_kernels_of_one_chunk_are_kept(rng, L, kept):
 
 
 def test_kept_kernels_are_bounded(rng):
-    # Transforming all 2L - 1 spins keeps only the kernels of the spins used last.
+    # Transforming all 2L - 1 spins keeps only the kernels of the first four spins built, and a second
+    # transform reads those same arrays rather than building them again.
     L = 32
     tables = _build_delta(L)
     spins = np.arange(1 - L, L)
-    forward(inverse(random_coefficients(rng, 1, spins, L), tables), tables)
+    co = random_coefficients(rng, 1, spins, L)
+    forward(inverse(co, tables), tables)
     assert transforms._KEPT_KERNELS == 4
-    assert list(tables._kernels) == [(L, int(s)) for s in spins[-4:]]
+    kept = dict(tables._kernels)
+    assert list(kept) == [(L, int(s)) for s in spins[:4]]
+    forward(inverse(co, tables), tables)
+    assert list(tables._kernels) == list(kept)
+    assert all(tables._kernels[key] is K for key, K in kept.items())
 
 
 def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
@@ -224,6 +232,17 @@ def test_per_order_holds_one_kernel_chunk_at_a_time(adjoint):
     _, peak = _traced_peak(lambda: transforms._per_order(x, 0, L, tables, adjoint))
     # one 4 MiB chunk and the 0.5 MiB output; two chunks alive at once would take 7 MiB
     assert peak <= 1.5 * transforms._KERNEL_CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_per_order_writes_its_product_in_place(adjoint):
+    # With the kernel kept, each chunk's product is written straight into the output, not made and copied.
+    L, k = 64, 128
+    tables = _build_delta(L)
+    x = np.ones((L, L, k))
+    transforms._per_order(x, 0, L, tables, adjoint)  # keeps the kernel on the tables
+    out, peak = _traced_peak(lambda: transforms._per_order(x, 0, L, tables, adjoint))
+    assert peak <= 1.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x its output"
 
 
 @pytest.mark.parametrize("batch, channels, L", [(4, 16, 64), (18, 32, 16)])
