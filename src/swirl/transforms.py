@@ -32,9 +32,9 @@ A spin-s transform on the n x n grid (n = 2L) is three linear stages:
    (-1)^m' moves onto the input (forward) or output (inverse), (-1)^l the other way.
 
 All four backend/path combinations agree to rounding.  The colatitude maps and the
-flat-order maps are cached per (L, parity) and (L, spin).  A spin's kernel that fits one
-chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables,
-for the first four (L, spin) a table builds; any other is rebuilt per call, one chunk at a time.
+flat-order maps are cached per (L, parity) and (L, spin).  Every spin's kernel that fits one
+chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables
+(WignerTables._keep); any other is rebuilt per call, one chunk at a time.
 
 Besides its input and output, a call holds the per-order buffers of one spin (the
 order-major operand and product, each half the samples of the spin's maps, freed
@@ -80,7 +80,6 @@ class TransformConfig:
 DEFAULT_CONFIG = TransformConfig()
 
 _KERNEL_CHUNK_BYTES = 4 << 20  # byte budget of one chunk of kernel orders
-_KEPT_KERNELS = 4  # one-chunk kernels kept per table: the first four (L, spin) a table builds
 _MAP_CHUNK_BYTES = 1 << 20  # byte budget of the samples of one chunk of maps in the per-map stages
 
 
@@ -220,32 +219,30 @@ def _flat_orders(L: int, spin: int):
     return rows, phases
 
 
-def _kernel_chunks(tables, spin, L):
-    """(mu0, mu1, kernel of the orders mu0 <= m < mu1) covering all orders, in chunks of _KERNEL_CHUNK_BYTES.
+def _kernel(tables, spin, L, mu0, mu1):
+    """Kernel of the orders mu0 <= m < mu1, shape (mu1 - mu0, L - l0, L): entry [m, l, m'] is alpha_l Delta^l_{m,m'}
+    Delta^l_{-s,m'} (K_s up to the order sign (-1)^(m+s)) for the degrees l >= l0 = max(mu0, |s|), with the
+    quadrant's zeros at m > l and m' > l.  Only degrees and orders below L are read from the tables."""
+    a, l0 = abs(spin), max(mu0, abs(spin))
+    l = np.arange(l0, L)[:, None]
+    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
+    rows = np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[a, l0:L, :L]  # alpha_l Delta^l_{-s,m'}
+    return tables.delta[mu0:mu1, l0:L, :L] * rows
 
-    Entry [m, l, m'] of a chunk, shape (mu1 - mu0, L - l0, L), is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}
-    (K_s up to the order sign (-1)^(m+s)) for the degrees l >= l0 = max(mu0, |s|); the quadrant's zeros
-    fill the entries m > l and m' > l.  A kernel that fits one chunk (8 L^3 bytes, so L <= 80 at 4 MiB)
-    is kept read-only on the tables, for the first _KEPT_KERNELS (L, spin) they build; any other is
-    built per call, one chunk alive at a time.
+
+def _kernel_chunks(tables, spin, L):
+    """(mu0, mu1, _kernel of the orders mu0 <= m < mu1) covering all orders, in chunks of _KERNEL_CHUNK_BYTES.
+
+    A kernel of one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is kept on the tables under ("kernel", L, spin);
+    any other is built per call, one chunk alive at a time.
     """
     step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
-    kept = tables._kernels
-    if step >= L and (L, spin) in kept:
-        yield 0, L, kept[L, spin]
-        return
-    a = abs(spin)
-    l = np.arange(a, L)[:, None]
-    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
-    rows = np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[a, a:L, :L]  # alpha_l Delta^l_{-s,m'}
     for mu0 in range(0, L, step):
-        mu1, l0 = min(mu0 + step, L), max(mu0, a)
-        K = tables.delta[mu0:mu1, l0:L, :L] * rows[l0 - a :]
-        if step >= L and len(kept) < _KEPT_KERNELS:
-            K.flags.writeable = False
-            kept[L, spin] = K
-        yield mu0, mu1, K
-        del K  # as in _per_order
+        mu1 = min(mu0 + step, L)
+        if step < L:
+            yield mu0, mu1, _kernel(tables, spin, L, mu0, mu1)
+        else:
+            yield mu0, mu1, tables._keep(("kernel", L, spin), lambda: _kernel(tables, spin, L, 0, L))
 
 
 def _per_order(x, spin, L, tables, adjoint):

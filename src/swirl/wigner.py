@@ -48,40 +48,46 @@ def _signs(k) -> np.ndarray:
 class WignerTables:
     """Delta matrices d^l(pi/2) for all degrees l < band_limit.
 
-    delta[m, l, m'] = Delta^l_{m,m'} for 0 <= m, m' <= l and zero elsewhere,
-    one read-only (L, L, L) array; tables[l] is the full (2l+1) x (2l+1) table
-    of degree l, indexed [l + m, l + m'], read-only and kept on the tables.
+    delta[m, l, m'] = Delta^l_{m,m'} for 0 <= m, m' <= l and zero elsewhere, one
+    read-only real (L, L, L) array; tables[l] is the full (2l+1) x (2l+1) table of degree l.
 
-    Besides delta, the tables keep what is fixed by them and built on first
-    use: the unfolded tables of the degrees read so far (all degrees below L
-    take about 4/3 of delta) and, in the plain dict _kernels, the first few
-    one-chunk spin kernels of the transforms (see transforms._kernel_chunks).
+    What the tables fix is built on first use, read-only, and kept in one memo, _keep: under
+    ("unfold", l) each tables[l] read (all of them take about 4/3 of delta), and under
+    ("kernel", L, spin) the kernel of each (L, spin) transformed at L <= 80, where it fits one
+    chunk (transforms._kernel_chunks), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
     """
 
     band_limit: int
     delta: np.ndarray
-    _unfolded: list = field(init=False, repr=False, compare=False)  # per degree: the unfold, or None until read
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_unfolded", [None] * self.band_limit)
+        want = (self.band_limit,) * 3
+        if not isinstance(self.delta, np.ndarray) or self.delta.dtype.kind != "f" or self.delta.shape != want:
+            got = f"{np.shape(self.delta)} {np.asarray(self.delta).dtype}"
+            raise ValueError(f"delta must be a real array of shape {want} for band limit {self.band_limit}, got {got}")
 
     def __getitem__(self, degree: int) -> np.ndarray:
-        if not 0 <= degree < self.band_limit:
-            raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
-        full = self._unfolded[degree]
-        if full is None:  # two threads may both unfold a degree; either result is the same table
-            full = self._unfolded[degree] = self._unfold(degree)
-        return full
+        full = self._kept.get(("unfold", degree))
+        return full if full is not None else self._keep(("unfold", degree), lambda: self._unfold(degree))
+
+    def _keep(self, key, build) -> np.ndarray:
+        """The array kept under key, built by build() and made read-only on first use."""
+        kept = self._kept.get(key)
+        if kept is None:  # two threads may both build it; either result is the same array
+            kept = build()
+            kept.flags.writeable = False
+            self._kept[key] = kept
+        return kept
 
     def _unfold(self, degree: int) -> np.ndarray:
+        if not 0 <= degree < self.band_limit:
+            raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
         # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]
         alt = _signs(np.arange(2 * degree + 1))
         q = self.delta[: degree + 1, degree, : degree + 1]
         top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
-        full = np.concatenate([alt * top[:0:-1], top])
-        full.flags.writeable = False
-        return full
+        return np.concatenate([alt * top[:0:-1], top])
 
 
 @lru_cache(maxsize=8)

@@ -120,9 +120,10 @@ def test_rotation_unfolds_only_the_degrees_it_reads(rng):
     # The unfolded Delta^l are kept on the tables, read-only, for the degrees read so far.
     tables = _build_delta(64)
     rotate_coefficients(random_coefficients(rng, 1, np.array([0, 1]), 4), Rotation.random(rng), tables)
-    assert [l for l, full in enumerate(tables._unfolded) if full is not None] == [0, 1, 2, 3]
-    assert tables[3] is tables._unfolded[3] and not tables[3].flags.writeable
-    assert tables[10].shape == (21, 21) and sum(full is not None for full in tables._unfolded) == 5
+    unfolded = lambda: sorted(key[1] for key in tables._kept if key[0] == "unfold")
+    assert unfolded() == [0, 1, 2, 3]
+    assert tables[3] is tables._kept["unfold", 3] and not tables[3].flags.writeable
+    assert tables[10].shape == (21, 21) and unfolded() == [0, 1, 2, 3, 10]
     for degree in (-1, 64):
         with pytest.raises(IndexError, match=f"degree {degree} is outside"):
             tables[degree]
@@ -151,7 +152,7 @@ def test_plans_belong_to_their_tables(rng):
 
 def test_plans_built_from_threads_give_the_single_threaded_results(rng):
     # Threads released together rotate and transform with one fresh set of tables, so they unfold degrees
-    # and build, keep and drop kernels (seven spins, four kept) at once; every result is the single-threaded one.
+    # and build and keep the kernels of seven spins at once; every result is the single-threaded one.
     L, threads = 40, 8
     co = random_coefficients(rng, 1, np.arange(-3, 4), L)
     rot = Rotation.random(rng)

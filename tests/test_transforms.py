@@ -159,17 +159,23 @@ def test_spin_conjugation_matches_reference_synthesis(rng, L):
         assert _max_rel(got, want) < 1e-12
 
 
+def _kept_kernels(tables):
+    """{(L, spin): kernel} of what the tables keep under ("kernel", L, spin)."""
+    return {key[1:]: K for key, K in tables._kept.items() if key[0] == "kernel"}
+
+
 def test_kept_kernels_equal_fresh_ones(rng):
     # A kernel that fits one chunk is built on first use, per band limit and spin, and kept read-only on
-    # the tables; it is the kernel a fresh build gives, so later transforms repeat the first bit for bit.
+    # the tables; it is the kernel a fresh table of its band limit gives, so later transforms repeat the
+    # first bit for bit, also where a larger table serves a smaller band limit.
     tables = _build_delta(16)
     co = random_coefficients(rng, 2, np.array([0, 1, -3]), 16)
     first = inverse(co, tables).samples
     forward(inverse(random_coefficients(rng, 1, np.array([0]), 8), tables), tables)
-    assert sorted(tables._kernels) == [(8, 0), (16, -3), (16, 0), (16, 1)]
-    for (L, spin), K in tables._kernels.items():
+    assert sorted(_kept_kernels(tables)) == [(8, 0), (16, -3), (16, 0), (16, 1)]
+    for (L, spin), K in _kept_kernels(tables).items():
         assert not K.flags.writeable
-        [(mu0, mu1, fresh)] = transforms._kernel_chunks(_build_delta(16), spin, L)
+        [(mu0, mu1, fresh)] = transforms._kernel_chunks(_build_delta(L), spin, L)
         assert (mu0, mu1) == (0, L)
         np.testing.assert_array_equal(K, fresh)
     np.testing.assert_array_equal(inverse(co, tables).samples, first)
@@ -180,23 +186,23 @@ def test_only_kernels_of_one_chunk_are_kept(rng, L, kept):
     # 8 L^3 bytes fit the 4 MiB chunk up to L = 80; a larger kernel is streamed chunk by chunk and not kept.
     tables = _build_delta(L)
     inverse(random_coefficients(rng, 1, np.array([0]), L), tables)
-    assert len(tables._kernels) == kept
+    assert len(_kept_kernels(tables)) == kept
 
 
 def test_kept_kernels_are_bounded(rng):
-    # Transforming all 2L - 1 spins keeps only the kernels of the first four spins built, and a second
+    # Transforming all 2L - 1 spins keeps one kernel of 8 L^2 (L - |spin|) bytes per spin, and a second
     # transform reads those same arrays rather than building them again.
     L = 32
     tables = _build_delta(L)
     spins = np.arange(1 - L, L)
     co = random_coefficients(rng, 1, spins, L)
     forward(inverse(co, tables), tables)
-    assert transforms._KEPT_KERNELS == 4
-    kept = dict(tables._kernels)
-    assert list(kept) == [(L, int(s)) for s in spins[:4]]
+    kept = _kept_kernels(tables)
+    assert sorted(kept) == [(L, int(s)) for s in spins]
+    assert all(K.nbytes == 8 * L * L * (L - abs(s)) <= transforms._KERNEL_CHUNK_BYTES for (_, s), K in kept.items())
     forward(inverse(co, tables), tables)
-    assert list(tables._kernels) == list(kept)
-    assert all(tables._kernels[key] is K for key, K in kept.items())
+    assert _kept_kernels(tables).keys() == kept.keys()
+    assert all(_kept_kernels(tables)[key] is K for key, K in kept.items())
 
 
 def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
@@ -210,7 +216,7 @@ def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
     assert [(mu0, mu1) for mu0, mu1, _ in transforms._kernel_chunks(tables, 0, L)] == [(0, 3), (3, 6), (6, 8)]
     np.testing.assert_array_equal(inverse(co, tables).samples, want)
     inverse(random_coefficients(rng, 1, np.array([1]), L), tables)
-    assert list(tables._kernels) == [(L, 0)]
+    assert list(_kept_kernels(tables)) == [(L, 0)]
 
 
 def _traced_peak(call):
@@ -258,6 +264,37 @@ def test_transforms_work_in_bounded_memory(rng, batch, channels, L, config):
     assert peak <= 2.0 * out.samples.nbytes, f"inverse peak {peak / out.samples.nbytes:.3f}x its output"
     _, peak = _traced_peak(lambda: forward(sig, tables, config))
     assert peak <= 1.25 * sig.samples.nbytes, f"forward peak {peak / sig.samples.nbytes:.3f}x its input"
+
+
+def test_hot_spins_keep_their_kernels_after_other_spins(rng):
+    # Spins transformed earlier do not crowd out later ones: on a table that first served spins -3, -2, 2
+    # and 3, the kernels of spins 0 and 1 are kept too, and the next inverse reads them without building.
+    L = 64
+    tables = _build_delta(L)
+    inverse(random_coefficients(rng, 1, np.array([-3, -2, 2, 3]), L), tables)
+    co = random_coefficients(rng, 4, np.repeat([0, 1], 8), L)
+    inverse(co, tables)
+    kept = _kept_kernels(tables)
+    out, peak = _traced_peak(lambda: inverse(co, tables))
+    assert all(_kept_kernels(tables)[key] is kept[key] for key in [(L, 0), (L, 1)])
+    assert peak <= 1.6 * out.samples.nbytes, f"inverse peak {peak / out.samples.nbytes:.3f}x its output"
+
+
+def test_warm_roundtrip_check_builds_kernels_only_where_they_stream(monkeypatch):
+    # Every spin of the roundtrip check keeps its kernel up to L=64; a second pass builds only L=128's chunks.
+    from swirl import verification
+
+    verification.check_roundtrips()
+    built = []
+    kernel = transforms._kernel
+
+    def counted(tables, spin, L, mu0, mu1):
+        built.append(L)
+        return kernel(tables, spin, L, mu0, mu1)
+
+    monkeypatch.setattr(transforms, "_kernel", counted)
+    assert all(row.passed for row in verification.check_roundtrips())
+    assert built and set(built) == {128}
 
 
 @pytest.mark.parametrize(

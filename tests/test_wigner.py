@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +76,24 @@ def test_orthogonality_check_keeps_no_unfolded_tables(monkeypatch):
     tables = wigner._build_delta(128)
     monkeypatch.setattr(verification, "compute_delta", lambda band_limit: tables)
     assert all(row.passed for row in verification.check_wigner_orthogonality())
-    assert sum(full is not None for full in tables._unfolded) == 0
+    assert not tables._kept
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        wigner._build_delta(4).delta,
+        wigner._build_delta(16).delta,
+        wigner._build_delta(8).delta.astype(complex),
+        wigner._build_delta(8).delta[0],
+    ],
+    ids=["smaller", "larger", "complex", "2-D"],
+)
+def test_tables_reject_a_malformed_delta(delta):
+    # A delta that is not a real (L, L, L) array fails at construction, naming both shapes,
+    # not deep inside a transform or a rotation.
+    with pytest.raises(ValueError, match=rf"shape \(8, 8, 8\).*got {re.escape(str(delta.shape))}"):
+        wigner.WignerTables(8, delta)
 
 
 def test_every_unfolded_table_of_l64_keeps_both_index_symmetries():
