@@ -1,68 +1,26 @@
 """swirl: spin-weighted spherical Fourier transforms and equivariant spectral layers.
 
-Submodules are imported lazily so the CLI can cap thread pools before
-numpy loads.
+SWIRL_THREADS=k caps the BLAS/OpenMP thread pools. It is applied here, before
+any submodule loads numpy, so it holds for the CLI and for library use alike
+whenever swirl is imported before numpy; pool variables already set are kept.
+The CLI, swirl.cli, is not imported here: `python -m swirl.cli` would then find
+it loaded already and warn.
 """
 
-from importlib import import_module
+import os as _os
+
+if _threads := _os.environ.get("SWIRL_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
+
+from . import bench, containers, equivariance, grid, layers, molecules, reference, signal, transforms, verification, wigner
+from .equivariance import EquivarianceReport, equivariance_error, rotate_coefficients
+from .grid import SphericalGrid, make_grid
+from .layers import (BatchNormState, FilterBank, ResidualBlockParams, phase_collapse, residual_block,
+                     spectral_batch_norm, spectral_conv, spectral_pool, spectral_unpool)
+from .molecules import Molecule, calibrate_spread, featurize, parse_xyz, pooled_descriptor
+from .signal import SpinCoefficients, SpinSignal
+from .transforms import TransformConfig, forward, fourier_2d, inverse
+from .wigner import Rotation, WignerTables, compute_delta, random_rotations, wigner_D, wigner_d
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "grid",
-    "signal",
-    "wigner",
-    "transforms",
-    "layers",
-    "equivariance",
-    "molecules",
-    "reference",
-    "containers",
-    "verification",
-    "bench",
-    "cli",
-)
-
-_EXPORTS = {
-    "SphericalGrid": "grid",
-    "make_grid": "grid",
-    "SpinSignal": "signal",
-    "SpinCoefficients": "signal",
-    "WignerTables": "wigner",
-    "compute_delta": "wigner",
-    "wigner_d": "wigner",
-    "wigner_D": "wigner",
-    "Rotation": "wigner",
-    "random_rotations": "wigner",
-    "TransformConfig": "transforms",
-    "forward": "transforms",
-    "inverse": "transforms",
-    "fourier_2d": "transforms",
-    "FilterBank": "layers",
-    "spectral_conv": "layers",
-    "phase_collapse": "layers",
-    "BatchNormState": "layers",
-    "spectral_batch_norm": "layers",
-    "spectral_pool": "layers",
-    "spectral_unpool": "layers",
-    "ResidualBlockParams": "layers",
-    "residual_block": "layers",
-    "rotate_coefficients": "equivariance",
-    "equivariance_error": "equivariance",
-    "EquivarianceReport": "equivariance",
-    "Molecule": "molecules",
-    "parse_xyz": "molecules",
-    "featurize": "molecules",
-    "calibrate_spread": "molecules",
-    "pooled_descriptor": "molecules",
-}
-
-__all__ = list(_SUBMODULES) + list(_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    if name in _EXPORTS:
-        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

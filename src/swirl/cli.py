@@ -2,27 +2,24 @@
 
 Configuration comes from an optional flat key=value file whose keys are
 the command's long flags, plus the flags themselves; explicit flags win.
-The SWIRL_THREADS environment variable caps the BLAS/OpenMP thread pools
-(it must take effect before numpy loads, which is why the heavy imports
-below happen lazily inside the functions).
+The SWIRL_THREADS environment variable caps the BLAS/OpenMP thread pools;
+the swirl package applies it on import, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
-
-def _configure_threads():
-    value = os.environ.get("SWIRL_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, value)
-
-
-_configure_threads()
+from .bench import BenchSpec, run_bench, write_bench_csv
+from .containers import pack_blocks, read_container, unpack_coefficients, unpack_signal, write_container
+from .grid import make_grid
+from .molecules import DEFAULT_POWERS, DEFAULT_SPREAD, SYMBOL_TO_NUMBER, featurize, parse_xyz_many
+from .signal import SpinSignal
+from .transforms import DEFAULT_CONFIG, FOURIER_BACKENDS, SYMMETRY_PATHS, TransformConfig, forward, inverse
+from .verification import run_verification, write_rows_csv
+from .wigner import compute_delta, host_memory
 
 _BACKEND_ALIASES = {"dft": "dft_matrix", "dft_matrix": "dft_matrix", "fft": "fft"}
 
@@ -67,9 +64,6 @@ def _seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .molecules import DEFAULT_POWERS
-    from .transforms import DEFAULT_CONFIG, SYMMETRY_PATHS
-
     backends = tuple(_BACKEND_ALIASES)
     parser = _Parser(prog="swirl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,8 +119,6 @@ def parse(argv=None) -> argparse.Namespace:
 
 
 def cmd_verify(args) -> int:
-    from .verification import run_verification, write_rows_csv
-
     rows = run_verification(args.name_filter, seed=args.seed)
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
@@ -142,9 +134,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import BenchSpec, run_bench, write_bench_csv
-    from .transforms import FOURIER_BACKENDS, SYMMETRY_PATHS
-
     spec = BenchSpec(
         resolutions=args.resolution,
         backends=FOURIER_BACKENDS if args.backend == "both" else (_BACKEND_ALIASES[args.backend],),
@@ -165,10 +154,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    from .containers import pack_blocks, read_container, unpack_coefficients, unpack_signal, write_container
-    from .transforms import TransformConfig, forward, inverse
-    from .wigner import compute_delta
-
     config = TransformConfig(fourier_backend=_BACKEND_ALIASES[args.backend], symmetry_path=args.path)
     header, arrays = read_container(args.input)
     if args.direction == "forward":
@@ -181,12 +166,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    from .containers import pack_blocks, write_container
-    from .grid import make_grid
-    from .molecules import DEFAULT_SPREAD, SYMBOL_TO_NUMBER, featurize, parse_xyz_many
-    from .signal import SpinSignal
-    from .wigner import host_memory
-
     with open(args.xyz) as fh:
         molecules = parse_xyz_many(fh.read())
     n = args.resolution

@@ -1,7 +1,9 @@
 """Direct-evaluation reference implementations used as independent oracles.
 
 Nothing here touches the production transform path: Wigner d values come
-from the explicit factorial sum formula, spherical integrals from
+from the explicit factorial sum formula, written once and evaluated in
+float64 or, for tight tolerances, in 30-digit mpmath arithmetic (mpmath is
+imported only when that is called); spherical integrals come from
 Gauss-Legendre nodes in colatitude crossed with uniform longitudes.
 These routines are slow and exist to arbitrate correctness.
 """
@@ -16,6 +18,16 @@ import numpy as np
 from .signal import degree_slice, num_coefficients
 
 
+def _d_sum(degree: int, a: int, b: int, c, s, factorial, sqrt):
+    """The factorial sum for d^l_{a,b}(beta) at c = cos(beta/2), s = sin(beta/2), in the arithmetic
+    of c, s, factorial and sqrt."""
+    total = 0
+    for k in range(max(0, b - a), min(degree + b, degree - a) + 1):
+        den = factorial(degree + b - k) * factorial(k) * factorial(a - b + k) * factorial(degree - a - k)
+        total += (-1.0) ** (a - b + k) / den * c ** (2 * degree + b - a - 2 * k) * s ** (a - b + 2 * k)
+    return sqrt(factorial(degree + a) * factorial(degree - a) * factorial(degree + b) * factorial(degree - b)) * total
+
+
 def wigner_d_explicit(degree: int, a: int, b: int, beta) -> np.ndarray:
     """Explicit factorial sum for d^l_{a,b}(beta), float64, vectorized over beta.
 
@@ -23,28 +35,7 @@ def wigner_d_explicit(degree: int, a: int, b: int, beta) -> np.ndarray:
     a few digits.
     """
     beta = np.asarray(beta, dtype=float)
-    c, s = np.cos(beta / 2), np.sin(beta / 2)
-    total = np.zeros_like(beta)
-    pref = math.sqrt(
-        math.factorial(degree + a)
-        * math.factorial(degree - a)
-        * math.factorial(degree + b)
-        * math.factorial(degree - b)
-    )
-    for k in range(max(0, b - a), min(degree + b, degree - a) + 1):
-        den = (
-            math.factorial(degree + b - k)
-            * math.factorial(k)
-            * math.factorial(a - b + k)
-            * math.factorial(degree - a - k)
-        )
-        total += (
-            (-1.0) ** (a - b + k)
-            / den
-            * c ** (2 * degree + b - a - 2 * k)
-            * s ** (a - b + 2 * k)
-        )
-    return pref * total
+    return _d_sum(degree, a, b, np.cos(beta / 2), np.sin(beta / 2), math.factorial, math.sqrt)
 
 
 def wigner_d_explicit_mp(degree: int, a: int, b: int, beta) -> float:
@@ -53,43 +44,25 @@ def wigner_d_explicit_mp(degree: int, a: int, b: int, beta) -> float:
 
     with mp.workdps(30):
         beta = mp.mpf(beta)
-        c, s = mp.cos(beta / 2), mp.sin(beta / 2)
-        pref = mp.sqrt(
-            mp.factorial(degree + a)
-            * mp.factorial(degree - a)
-            * mp.factorial(degree + b)
-            * mp.factorial(degree - b)
-        )
-        total = mp.mpf(0)
-        for k in range(max(0, b - a), min(degree + b, degree - a) + 1):
-            den = (
-                mp.factorial(degree + b - k)
-                * mp.factorial(k)
-                * mp.factorial(a - b + k)
-                * mp.factorial(degree - a - k)
-            )
-            total += (-1) ** (a - b + k) / den * c ** (2 * degree + b - a - 2 * k) * s ** (a - b + 2 * k)
-        return float(pref * total)
+        return float(_d_sum(degree, a, b, mp.cos(beta / 2), mp.sin(beta / 2), mp.factorial, mp.sqrt))
 
 
 @lru_cache(maxsize=64)
 def wigner_d_matrix_mp(degree: int, beta: float) -> np.ndarray:
     """Full d^l(beta) from the high-precision sum.
 
-    Only the wedge a >= |b| is summed explicitly; the rest follows from
-    the transpose and double-negation symmetries of the sum formula
-    (valid at any angle), which keeps the oracle affordable at l = 20.
+    Only the wedge a >= |b| is summed explicitly, and its double negation
+    d_{-a,-b} = (-1)^(a-b) d_{a,b} filled alongside; the rest follows from the
+    transpose symmetry of the sum formula (valid at any angle), which keeps the
+    oracle affordable at l = 20.
     """
     c = degree
     size = 2 * degree + 1
     D = np.full((size, size), np.nan)
     for a in range(0, degree + 1):
         for b in range(-a, a + 1):
-            D[a + c, b + c] = wigner_d_explicit_mp(degree, a, b, beta)
-    for a in range(0, degree + 1):
-        for b in range(-a, a + 1):
-            sign = -1.0 if (a - b) % 2 else 1.0
-            D[c - a, c - b] = sign * D[c + a, c + b]
+            D[c + a, c + b] = wigner_d_explicit_mp(degree, a, b, beta)
+            D[c - a, c - b] = (-1.0 if (a - b) % 2 else 1.0) * D[c + a, c + b]
     missing = np.isnan(D)
     ii, jj = np.meshgrid(np.arange(-c, c + 1), np.arange(-c, c + 1), indexing="ij")
     signs = np.where((ii - jj) % 2 == 0, 1.0, -1.0)

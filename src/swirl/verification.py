@@ -37,7 +37,7 @@ from .layers import (
     spectral_variance,
 )
 from .molecules import Molecule, calibrate_spread, featurize, parse_xyz, pooled_descriptor
-from .signal import SpinSignal
+from .signal import SpinSignal, num_coefficients
 from .transforms import TransformConfig, forward, g_matrix, inner_products, inverse
 from .wigner import Rotation, compute_delta, random_rotations, wigner_D, wigner_d
 
@@ -358,6 +358,11 @@ def check_layer_equivariance(seed=0):
         lambda c: spectral_unpool(c, band_limit + 4), coeffs, rotations, "spectral_unpool", seed
     )
     rows.append(_row("layers.equivariance.spectral_unpool", band_limit, rep.max_rel_err, 1e-6))
+    # Equivariance cannot see a pooling that rescales its degrees; the coefficient values can.
+    n = num_coefficients(band_limit // 2)
+    err = max(np.abs(spectral_pool(coeffs, band_limit // 2).coeffs - coeffs.coeffs[..., :n]).max(),
+              np.abs(spectral_pool(spectral_unpool(coeffs, band_limit + 4), band_limit).coeffs - coeffs.coeffs).max())
+    rows.append(_row("layers.spectral_pool.leading_coefficients", band_limit, err, 0.0))
 
     sig = smooth_harness_signal(rng, band_limit, SPIN_SET, CHANNELS, shared_orders=True)
     params = harness_residual_params(rng, band_limit)

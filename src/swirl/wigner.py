@@ -81,6 +81,7 @@ class WignerTables:
         return kept
 
     def _unfold(self, degree: int) -> np.ndarray:
+        degree = int(_integers(degree, "degree"))  # on a miss only: 3.0 keys the same entry as 3
         if not 0 <= degree < self.band_limit:
             raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
         # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]

@@ -1,4 +1,5 @@
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -264,32 +265,71 @@ def test_verify_deterministic_output(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_module_entry_point():
+POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _run_python(args, **env):
+    """Run a fresh interpreter on args, importing the same swirl as this test, installed or not.
+
+    The thread variables come from env only: this process has loaded numpy already, so its
+    own environment shows nothing about what importing swirl sets."""
     import os, subprocess, sys
     from pathlib import Path
 
     import swirl
 
-    # the child imports the same swirl as this test, installed or not
     path = os.pathsep.join(filter(None, [str(Path(swirl.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "swirl", "verify", "--filter", "grid.integral"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    base = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES + ("SWIRL_THREADS",)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": path, **env})
+
+
+def test_module_entry_point():
+    proc = _run_python(["-m", "swirl", "verify", "--filter", "grid.integral"], SWIRL_THREADS="1")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
 
-def test_every_lazy_export_resolves():
-    # A stale entry in the lazy tables raises only when the name is first read.
-    import importlib
+def test_cli_module_runs_without_warnings():
+    # the package does not import swirl.cli, so runpy finds no stale copy of it to warn about
+    proc = _run_python(["-W", "error", "-m", "swirl.cli", "verify", "--filter", "grid.integral"], SWIRL_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("3/3 checks passed\n") and not proc.stderr
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_import_applies_swirl_threads(preset):
+    # SWIRL_THREADS fills each pool variable that is unset and keeps one that is set
+    code = f"import json, os, swirl; print(json.dumps({{var: os.environ.get(var) for var in {POOL_VARIABLES!r}}}))"
+    proc = _run_python(["-c", code], SWIRL_THREADS="3", **preset)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {var: preset.get(var, "3") for var in POOL_VARIABLES}
+
+
+def test_every_export_is_its_modules_object():
+    # A fresh import of swirl binds each library submodule (every module but the entry points),
+    # and each public name is the object of the module that defines it.
+    import pkgutil
+    import sys
+    import types
 
     import swirl
 
-    for name in swirl._SUBMODULES:
-        assert getattr(swirl, name) is importlib.import_module(f"swirl.{name}")
-    for name, module in swirl._EXPORTS.items():
-        assert getattr(swirl, name) is getattr(importlib.import_module(f"swirl.{module}"), name)
+    entry_points = {"cli", "__main__"}  # this process imported swirl.cli, which binds it on the package
+    library = {m.name for m in pkgutil.iter_modules(swirl.__path__)} - entry_points
+    code = ("import json, types, swirl\n"
+            "print(json.dumps(sorted(n for n, o in vars(swirl).items() if isinstance(o, types.ModuleType) and n[0] != '_')))")
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(library) and len(library) == 11
+    for name, obj in vars(swirl).items():
+        if name.startswith("_") or name in entry_points:
+            continue
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"swirl.{name}"]
+        else:
+            assert obj.__module__.removeprefix("swirl.") in library, name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 def test_verify_default_runs_everything(tmp_path):

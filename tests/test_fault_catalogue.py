@@ -1,0 +1,89 @@
+"""Faults that `swirl verify` must see: each case plants one fault and names a row that fails.
+
+A case replaces one name in every swirl module that holds it (verification binds
+what it checks at import), so the fault reaches every caller. The caches that a
+fault could fill are cleared before and after each case.
+"""
+
+import inspect
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from swirl import layers, transforms, wigner
+from swirl.signal import SpinCoefficients
+from swirl.verification import run_verification
+
+
+@pytest.fixture(autouse=True)
+def clear_caches():
+    caches = (wigner.compute_delta, transforms._colatitude_maps, transforms._flat_orders)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _replace(monkeypatch, module, name, value):
+    """Bind name to value in every swirl module that holds module.name."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "swirl" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, value)
+
+
+def _mutant(function, old, new):
+    """function with the one occurrence of old in its source replaced by new, in its own module's globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"{function.__name__} no longer reads {old!r}"
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+def rescaled_pool(monkeypatch):
+    # equivariant, so only the value row sees it
+    pool = layers.spectral_pool
+
+    def rescaled(coeffs, new_band_limit):
+        out = pool(coeffs, new_band_limit)
+        return SpinCoefficients(out.coeffs * np.sqrt(out.band_limit / coeffs.band_limit), out.spins, out.band_limit)
+
+    _replace(monkeypatch, layers, "spectral_pool", rescaled)
+
+
+def flipped_delta_entry(monkeypatch):
+    # the sign of Delta^5_{5,2} in every table of band limit > 5
+    build = wigner._build_delta
+
+    def flipped(band_limit):
+        tables = build(band_limit)
+        if tables.band_limit <= 5:
+            return tables
+        delta = tables.delta.copy()
+        delta[5, 5, 2] *= -1
+        delta.flags.writeable = False
+        return wigner.WignerTables(tables.band_limit, delta)
+
+    _replace(monkeypatch, wigner, "_build_delta", flipped)
+
+
+def kernel_l0_off_by_one(monkeypatch):
+    # each chunk of orders skips the degree l = mu0
+    faulty = _mutant(transforms._kernel, "max(mu0, abs(spin))", "max(mu0 + 1, abs(spin))")
+    _replace(monkeypatch, transforms, "_kernel", faulty)
+
+
+@pytest.mark.parametrize("fault, group, failing", [
+    (rescaled_pool, "layers", ["layers.spectral_pool.leading_coefficients"]),
+    (flipped_delta_entry, "wigner", ["wigner.delta.sum_formula", "wigner.d.sum_formula",
+                                     "wigner.delta.orthogonality", "wigner.delta.transpose_symmetry"]),
+    (kernel_l0_off_by_one, "swsft", ["swsft.roundtrip.coeffs.L4"]),
+], ids=lambda case: case.__name__ if callable(case) else None)
+def test_verify_sees_the_fault(monkeypatch, fault, group, failing):
+    fault(monkeypatch)
+    failed = [row.name for row in run_verification(group) if not row.passed]
+    assert set(failing) <= set(failed), failed

@@ -45,6 +45,15 @@ def test_delta_degree_eight_entry_vs_sum_formula():
     assert d[c + 3, c - 2] == pytest.approx(reference.wigner_d_explicit_mp(8, 3, -2, np.pi / 2), abs=1e-12)
 
 
+def test_float_and_30_digit_sums_agree():
+    # one factorial sum in two arithmetics; the float one loses at most 1.4e-11 up to l = 20
+    for beta in (0.7, np.pi / 2, 2.9):
+        for l in (0, 1, 5, 12, 20):
+            m = np.arange(-l, l + 1)
+            d = np.array([[reference.wigner_d_explicit(l, a, b, beta) for b in m] for a in m])
+            np.testing.assert_allclose(d, reference.wigner_d_matrix_mp(l, beta), rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("L", [1, 2, 5, 13])
 def test_delta_matches_explicit_sum(L):
     tables = compute_delta(L)
@@ -106,6 +115,19 @@ def test_every_unfolded_table_of_l64_keeps_both_index_symmetries():
         np.testing.assert_array_equal(d[l:, l:], tables.delta[: l + 1, l, : l + 1])
         np.testing.assert_array_equal(d[:, ::-1], sign[:, None] * d)  # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}
         np.testing.assert_array_equal(d[::-1], sign * d)  # Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}
+
+
+def test_table_degrees_follow_the_integer_rule():
+    # an integral degree of any type reads the same kept table; any other value is named
+    tables = wigner._build_delta(8)
+    assert tables[3.0] is tables[3]
+    assert tables[np.int64(3)] is tables[3]
+    with pytest.raises(ValueError, match=r"degree 2\.5 must be an integer"):
+        tables[2.5]
+    for degree in (-1, 8, 8.0):
+        with pytest.raises(IndexError, match="degree 8 is outside|degree -1 is outside"):
+            tables[degree]
+
 
 @pytest.mark.parametrize("l", [63, 127, 255])
 def test_delta_border_rows_match_factorial_closed_form(l):
