@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import _grouped_spins
 from .signal import (
-    SpinCoefficients, SpinSignal, _integer_spins, _integers, degree_of_index, degree_slice, flat_index, num_coefficients
+    SpinCoefficients, SpinSignal, _grouped_spins, _integers, degree_of_index, degree_slice, flat_index, num_coefficients
 )
 from .transforms import _check_tables, forward, inverse
 from .wigner import Rotation, WignerTables, _rotate_degree, _rotation_phases, compute_delta
@@ -110,7 +109,7 @@ def equivariance_error(layer, x, rotations, layer_name: str = "layer", seed: int
 
 def random_coefficients(rng: np.random.Generator, batch: int, spins, band_limit: int) -> SpinCoefficients:
     """Dense random coefficients, zero below each channel's spin."""
-    spins = _integer_spins(spins)
+    spins = _integers(spins, "spin")
     co = rng.normal(size=(batch, len(spins), num_coefficients(band_limit)))
     co = co + 1j * rng.normal(size=co.shape)
     for c, s in enumerate(spins):

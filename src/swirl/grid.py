@@ -43,10 +43,13 @@ class SphericalGrid:
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """values as an int array: an integral float converts (4.0 becomes 4), any other value raises a
-    ValueError that names it rather than being truncated."""
+    """values as an int array: an integral float converts (4.0 becomes 4), any other value, a boolean
+    too, raises a ValueError that names it rather than being truncated or read as 0 or 1."""
     given = np.asarray(values)
-    if given.dtype.kind in "bi":  # already integers
+    in_list = isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values)
+    if given.dtype.kind == "b" or in_list:  # in_list: a list that mixes True with integers converts to int
+        raise ValueError(f"{name} {values!r} must be an integer, not a boolean")
+    if given.dtype.kind == "i":  # already integers
         return given.astype(int)
     try:
         with np.errstate(invalid="ignore"):  # nan and inf cast to arbitrary integers, which the check rejects

@@ -12,16 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import SpinCoefficients, SpinSignal, _integer_spins, _integers, degree_slice, num_coefficients
+from .signal import SpinCoefficients, SpinSignal, _grouped_spins, _integers, degree_slice, num_coefficients
 from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
 from .wigner import compute_delta
 
 _MOMENTUM = 0.1  # weight of the batch variance in the running-variance update
 _EPSILON = 1e-5  # added to the variance before the square root
-
-
-def _grouped_spins(spin_set, channels: int) -> np.ndarray:
-    return np.repeat(_integer_spins(spin_set), channels)
 
 
 @dataclass(frozen=True)
@@ -40,8 +36,8 @@ class FilterBank:
     spins_out: tuple
 
     def __post_init__(self):
-        spins_in = tuple(_integer_spins(self.spins_in).tolist())
-        spins_out = tuple(_integer_spins(self.spins_out).tolist())
+        spins_in = tuple(_integers(self.spins_in, "spin").tolist())
+        spins_out = tuple(_integers(self.spins_out, "spin").tolist())
         object.__setattr__(self, "spins_in", spins_in)
         object.__setattr__(self, "spins_out", spins_out)
         w = np.array(self.weights, dtype=complex)
@@ -287,11 +283,20 @@ class ResidualBlockParams:
     projection: FilterBank | None = None
 
 
-def _needs_projection(params: ResidualBlockParams) -> bool:
-    return (
-        params.bank1.spins_in != params.bank2.spins_out
-        or params.bank1.channels_in != params.bank2.channels_out
-    )
+def _check_signatures(spins, params: ResidualBlockParams):
+    """Raise unless the block's (spins, channels) signatures chain: the input spins into bank1, bank1 into
+    bank2, and the skip path (bank1's input, through the projection if any) onto bank2's output."""
+    bank1, bank2, projection = params.bank1, params.bank2, params.projection
+    block_in, block_out = (bank1.spins_in, bank1.channels_in), (bank2.spins_out, bank2.channels_out)
+    if not np.array_equal(spins, _grouped_spins(*block_in)):
+        raise ValueError(f"input spins {spins} do not match bank1's input signature {_grouped_spins(*block_in)}")
+    if (bank1.spins_out, bank1.channels_out) != (bank2.spins_in, bank2.channels_in):
+        raise ValueError("bank1's output signature does not match bank2's input signature")
+    if projection is None and block_in != block_out:
+        raise ValueError("input and output signatures differ: a skip projection bank is required")
+    if projection is not None and ((projection.spins_in, projection.channels_in),
+                                   (projection.spins_out, projection.channels_out)) != (block_in, block_out):
+        raise ValueError("the skip projection does not map the block's input signature onto its output signature")
 
 
 def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEFAULT_CONFIG):
@@ -317,10 +322,9 @@ def _residual_impl(x, params, config, mode):
     """Both residual-block entry points.  Where an activation's result goes back to
     coefficients, only its new spin-0 stack is made and transformed: the activation
     leaves the other channels' samples, whose transform is the coefficients' own."""
+    _check_signatures(x.spins, params)
     is_signal = isinstance(x, SpinSignal)
     c_in = forward(x, compute_delta(x.grid.band_limit), config) if is_signal else x
-    if _needs_projection(params) and params.projection is None:
-        raise ValueError("input and output signatures differ: a skip projection bank is required")
 
     pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in
     L = pooled.band_limit
@@ -333,8 +337,6 @@ def _residual_impl(x, params, config, mode):
     h, bn2 = spectral_batch_norm(h, params.bn2, mode)
 
     skip = pooled if params.projection is None else spectral_conv(pooled, params.projection)
-    if not np.array_equal(skip.spins, h.spins):
-        raise ValueError("skip path signature does not match main path output")
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)
 
     if is_signal:

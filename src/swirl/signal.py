@@ -33,9 +33,9 @@ def degree_of_index(band_limit: int) -> np.ndarray:
     return np.repeat(np.arange(band_limit), 2 * np.arange(band_limit) + 1)
 
 
-def _integer_spins(spins) -> np.ndarray:
-    """The spins as an int array, rejecting any that is not an integer rather than truncating it."""
-    return _integers(spins, "spin")
+def _grouped_spins(spin_set, channels: int) -> np.ndarray:
+    """The channel spins of a spin-grouped layout: each spin of spin_set repeated for its channels."""
+    return np.repeat(_integers(spin_set, "spin"), channels)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SpinSignal:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
-        spins = _integer_spins(self.spins)
+        spins = _integers(self.spins, "spin")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "spins", spins)
         if samples.ndim != 4:
@@ -88,7 +88,7 @@ class SpinCoefficients:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        spins = _integer_spins(self.spins)
+        spins = _integers(self.spins, "spin")
         L = int(_integers(self.band_limit, "band limit"))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "spins", spins)

@@ -189,10 +189,10 @@ def _spin_maps(spins: np.ndarray, batch: int):
         yield int(spin), (np.arange(batch)[:, None] * len(spins) + np.flatnonzero(spins == spin)).ravel()
 
 
-def _map_chunks(count: int, L: int) -> list:
-    """Slices of count maps, each chunk's samples (n x n complex, n = 2L) within _MAP_CHUNK_BYTES."""
-    step = max(1, _MAP_CHUNK_BYTES // (64 * L * L))
-    return [slice(k, k + step) for k in range(0, count, step)]
+def _chunks(count: int, item_bytes: int, budget: int) -> list:
+    """Slices of count items, as many to a chunk as fit budget bytes at item_bytes each (at least one)."""
+    step = max(1, budget // item_bytes)
+    return [slice(k, min(k + step, count)) for k in range(0, count, step)]
 
 
 def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = DEFAULT_CONFIG) -> SpinCoefficients:
@@ -230,36 +230,29 @@ def _kernel(tables, spin, L, mu0, mu1):
     return tables.delta[mu0:mu1, l0:L, :L] * rows
 
 
-def _kernel_chunks(tables, spin, L):
-    """(mu0, mu1, _kernel of the orders mu0 <= m < mu1) covering all orders, in chunks of _KERNEL_CHUNK_BYTES.
-
-    A kernel of one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is kept on the tables under ("kernel", L, spin);
-    any other is built per call, one chunk alive at a time.
-    """
-    step = max(1, _KERNEL_CHUNK_BYTES // (8 * L * L))
-    for mu0 in range(0, L, step):
-        mu1 = min(mu0 + step, L)
-        if step < L:
-            yield mu0, mu1, _kernel(tables, spin, L, mu0, mu1)
-        else:
-            yield mu0, mu1, tables._keep(("kernel", L, spin), lambda: _kernel(tables, spin, L, 0, L))
-
-
 def _per_order(x, spin, L, tables, adjoint):
-    """One matmul per order against the kernel, chunk by chunk (see _kernel_chunks), written in place.
+    """One matmul per order against the kernel, on the real and imaginary parts at once, written in place.
 
-    x is real, (L, L, k) with axes (|m|, m', k) for the forward and (|m|, l, k)
-    for the adjoint; the output has the other of the two middle axes.
+    x is complex, (L, L, 2, k) with axes (|m|, m', half, map) for the forward and (|m|, l, half, map)
+    for the adjoint; the product has the other of the two middle axes.  The orders run in chunks of
+    _KERNEL_CHUNK_BYTES: a kernel of one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is kept on the tables
+    under ("kernel", L, spin), any other is built per call, one chunk alive at a time.
     """
-    out = np.zeros((L, L, x.shape[-1]))
-    for mu0, mu1, K in _kernel_chunks(tables, spin, L):
+    real = x.view(float).reshape(L, L, -1)
+    out = np.zeros(real.shape)  # not zeros_like, which touches every page: the forward writes only the rows l >= l0
+    chunks = _chunks(L, 8 * L * L, _KERNEL_CHUNK_BYTES)
+    for mu in chunks:
+        if len(chunks) == 1:
+            K = tables._keep(("kernel", L, spin), lambda: _kernel(tables, spin, L, 0, L))
+        else:
+            K = _kernel(tables, spin, L, mu.start, mu.stop)
         l0 = L - K.shape[1]
         if adjoint:
-            np.matmul(K.transpose(0, 2, 1), x[mu0:mu1, l0:], out=out[mu0:mu1])
+            np.matmul(K.transpose(0, 2, 1), real[mu, l0:], out=out[mu])
         else:
-            np.matmul(K, x[mu0:mu1], out=out[mu0:mu1, l0:])
+            np.matmul(K, real[mu], out=out[mu, l0:])
         del K  # or the chunk stays alive while the next one is built
-    return out
+    return out.view(complex).reshape(x.shape)
 
 
 def _forward_block(samples, maps, spin, L, tables, config, out):
@@ -268,16 +261,16 @@ def _forward_block(samples, maps, spin, L, tables, config, out):
     reduced = config.symmetry_path == "reduced"
     # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
     x = np.empty((L, L, 2, len(maps)), dtype=complex)
-    for chunk in _map_chunks(len(maps), L):
+    chunks = _chunks(len(maps), 64 * L * L, _MAP_CHUNK_BYTES)
+    for chunk in chunks:
         I = _analysis(samples[maps[chunk]], spin, L, config.fourier_backend, reduced)
         if not reduced:
             I = _fold(I, _signs(np.arange(-c, L) + spin))
         x[:, :, 0, chunk] = I[:, :, c:].transpose(2, 1, 0)
         x[:, :, 1, chunk] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
-    y = _per_order(x.view(float).reshape(L, L, 4 * len(maps)), spin, L, tables, adjoint=False)
-    y = y.view(complex).reshape(2 * L * L, len(maps))
+    y = _per_order(x, spin, L, tables, adjoint=False).reshape(2 * L * L, len(maps))
     rows, phases = _flat_orders(L, spin)
-    for chunk in _map_chunks(len(maps), L):
+    for chunk in chunks:
         out[maps[chunk]] = (y[rows, chunk] * phases.conj()[:, None]).T
 
 
@@ -306,10 +299,9 @@ def _g_rows(coeffs, tables):
         rows, phases = _flat_orders(L, spin)
         x = np.zeros((2 * L * L, len(maps)), dtype=complex)
         x[rows] = (flat[maps] * phases).T
-        y = _per_order(x.view(float).reshape(L, L, 4 * len(maps)), spin, L, tables, adjoint=True)
+        y = _per_order(x.reshape(L, L, 2, len(maps)), spin, L, tables, adjoint=True)
         del x
-        y = y.view(complex).reshape(L, L, 2, len(maps))
-        for chunk in _map_chunks(len(maps), L):
+        for chunk in _chunks(len(maps), 64 * L * L, _MAP_CHUNK_BYTES):
             G = np.empty((len(maps[chunk]), L, 2 * L - 1), dtype=complex)
             G[:, :, c:] = y[:, :, 0, chunk].transpose(2, 1, 0)
             G[:, :, :c] = (_signs(np.arange(L))[:, None] * y[:0:-1, :, 1, chunk]).transpose(2, 1, 0)  # (-1)^m'

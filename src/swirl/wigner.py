@@ -54,7 +54,7 @@ class WignerTables:
     What the tables fix is built on first use, read-only, and kept in one memo, _keep: under
     ("unfold", l) each tables[l] read (all of them take about 4/3 of delta), and under
     ("kernel", L, spin) the kernel of each (L, spin) transformed at L <= 80, where it fits one
-    chunk (transforms._kernel_chunks), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
+    chunk (transforms._per_order), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
     """
 
     band_limit: int
@@ -68,6 +68,8 @@ class WignerTables:
             raise ValueError(f"delta must be a real array of shape {want} for band limit {self.band_limit}, got {got}")
 
     def __getitem__(self, degree: int) -> np.ndarray:
+        if isinstance(degree, (bool, np.bool_)):  # on every read: True would hit the entry kept for 1
+            raise ValueError(f"degree {degree!r} must be an integer, not a boolean")
         full = self._kept.get(("unfold", degree))
         return full if full is not None else self._keep(("unfold", degree), lambda: self._unfold(degree))
 

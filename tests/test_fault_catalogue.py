@@ -39,8 +39,9 @@ def _mutant(function, old, new):
     """function with the one occurrence of old in its source replaced by new, in its own module's globals."""
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, f"{function.__name__} no longer reads {old!r}"
+    bare = inspect.unwrap(function)  # a cached function's file and globals are its wrapped function's
     namespace = {}
-    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), function.__globals__, namespace)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(bare), "exec"), bare.__globals__, namespace)
     return namespace[function.__name__]
 
 
@@ -77,11 +78,32 @@ def kernel_l0_off_by_one(monkeypatch):
     _replace(monkeypatch, transforms, "_kernel", faulty)
 
 
+def dropped_mirror_term(monkeypatch):
+    # the colatitude analysis integrates over [0, pi] only, without the torus extension's mirrored rows
+    faulty = _mutant(transforms._colatitude_maps, "(E + parity * E[::-1])", "(E)")
+    _replace(monkeypatch, transforms, "_colatitude_maps", faulty)
+
+
+def flipped_parity(monkeypatch):
+    # each order group is given the parity of the other
+    faulty = _mutant(transforms._parities, "yield p,", "yield -p,")
+    _replace(monkeypatch, transforms, "_parities", faulty)
+
+
+def conjugated_rotation_phases(monkeypatch):
+    # i^m and i^-m swap places in D^l: the conjugate representation, still unitary and a homomorphism
+    faulty = _mutant(wigner._rotation_phases, "_I_POW[[-m % 4, 0 * m, m % 4]]", "_I_POW[[m % 4, 0 * m, -m % 4]]")
+    _replace(monkeypatch, wigner, "_rotation_phases", faulty)
+
+
 @pytest.mark.parametrize("fault, group, failing", [
     (rescaled_pool, "layers", ["layers.spectral_pool.leading_coefficients"]),
     (flipped_delta_entry, "wigner", ["wigner.delta.sum_formula", "wigner.d.sum_formula",
                                      "wigner.delta.orthogonality", "wigner.delta.transpose_symmetry"]),
     (kernel_l0_off_by_one, "swsft", ["swsft.roundtrip.coeffs.L4"]),
+    (dropped_mirror_term, "grid", ["grid.inner_products.oracle.L4"]),
+    (flipped_parity, "grid", ["grid.inner_products.oracle.L4"]),
+    (conjugated_rotation_phases, "mol", ["mol.rotation_equivariance"]),
 ], ids=lambda case: case.__name__ if callable(case) else None)
 def test_verify_sees_the_fault(monkeypatch, fault, group, failing):
     fault(monkeypatch)

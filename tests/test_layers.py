@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swirl import reference
+from swirl import layers, reference
 from swirl.equivariance import random_coefficients, smooth_harness_signal
 from swirl.layers import (
     _EPSILON,
@@ -629,6 +629,41 @@ def test_residual_block_channel_projection(rng):
     out = residual_block_train(sig, params)[0]
     assert out.channels == 8
     np.testing.assert_array_equal(out.spins, [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("fault", ["input", "middle", "projection_out", "no_projection"])
+def test_residual_block_checks_signatures_before_any_transform(rng, monkeypatch, fault):
+    # A signature that does not chain is reported before the first transform, not after the main path has run.
+    L = 8
+    b1 = FilterBank.random(rng, (0, 1), (0, 1), 2, 4, L)
+    b2 = FilterBank.random(rng, (0, 1), (0, 1), 4, 4, L)
+    proj = FilterBank.random(rng, (0, 1), (0, 1), 2, 4, L, per_degree=False)
+    if fault == "input":
+        b1 = FilterBank.random(rng, (0, 1), (0, 1), 3, 4, L)
+    elif fault == "middle":
+        b2 = FilterBank.random(rng, (0, 1), (0, 1), 2, 4, L)
+    elif fault == "projection_out":
+        proj = FilterBank.random(rng, (0, 1), (0,), 2, 8, L, per_degree=False)
+    params = ResidualBlockParams(
+        bank1=b1,
+        bn1=BatchNormState.initialize(8),
+        collapse1=PhaseCollapseParams.random(rng, 4, 8),
+        bank2=b2,
+        bn2=BatchNormState.initialize(8),
+        collapse2=PhaseCollapseParams.random(rng, 4, 8),
+        projection=None if fault == "no_projection" else proj,
+    )
+    sig = smooth_harness_signal(rng, L, (0, 1), 2)
+    calls = []
+
+    def counted(transform):
+        return lambda *args: calls.append(transform.__name__) or transform(*args)
+
+    monkeypatch.setattr(layers, "forward", counted(layers.forward))
+    monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
+    with pytest.raises(ValueError, match="signature"):
+        residual_block_train(sig, params)
+    assert calls == []
 
 
 def _residual_composition(x, params):

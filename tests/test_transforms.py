@@ -175,9 +175,7 @@ def test_kept_kernels_equal_fresh_ones(rng):
     assert sorted(_kept_kernels(tables)) == [(8, 0), (16, -3), (16, 0), (16, 1)]
     for (L, spin), K in _kept_kernels(tables).items():
         assert not K.flags.writeable
-        [(mu0, mu1, fresh)] = transforms._kernel_chunks(_build_delta(L), spin, L)
-        assert (mu0, mu1) == (0, L)
-        np.testing.assert_array_equal(K, fresh)
+        np.testing.assert_array_equal(K, transforms._kernel(_build_delta(L), spin, L, 0, L))
     np.testing.assert_array_equal(inverse(co, tables).samples, first)
 
 
@@ -213,7 +211,7 @@ def test_a_smaller_budget_streams_past_the_kept_kernel(rng, monkeypatch):
     co = random_coefficients(rng, 1, np.array([0]), L)
     want = inverse(co, tables).samples
     monkeypatch.setattr(transforms, "_KERNEL_CHUNK_BYTES", 3 * 8 * L * L)
-    assert [(mu0, mu1) for mu0, mu1, _ in transforms._kernel_chunks(tables, 0, L)] == [(0, 3), (3, 6), (6, 8)]
+    assert transforms._chunks(L, 8 * L * L, transforms._KERNEL_CHUNK_BYTES) == [slice(0, 3), slice(3, 6), slice(6, 8)]
     np.testing.assert_array_equal(inverse(co, tables).samples, want)
     inverse(random_coefficients(rng, 1, np.array([1]), L), tables)
     assert list(_kept_kernels(tables)) == [(L, 0)]
@@ -233,7 +231,7 @@ def test_per_order_holds_one_kernel_chunk_at_a_time(adjoint):
     # At L=128 the kernel streams in 4 MiB chunks of orders; each is dropped before the next is built.
     L = 128
     tables = compute_delta(L)
-    x = np.ones((L, L, 4))
+    x = np.ones((L, L, 2, 1), dtype=complex)
     transforms._per_order(x, 0, L, tables, adjoint)  # caches outside the per-order product
     _, peak = _traced_peak(lambda: transforms._per_order(x, 0, L, tables, adjoint))
     # one 4 MiB chunk and the 0.5 MiB output; two chunks alive at once would take 7 MiB
@@ -243,9 +241,9 @@ def test_per_order_holds_one_kernel_chunk_at_a_time(adjoint):
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_per_order_writes_its_product_in_place(adjoint):
     # With the kernel kept, each chunk's product is written straight into the output, not made and copied.
-    L, k = 64, 128
+    L, k = 64, 32
     tables = _build_delta(L)
-    x = np.ones((L, L, k))
+    x = np.ones((L, L, 2, k), dtype=complex)
     transforms._per_order(x, 0, L, tables, adjoint)  # keeps the kernel on the tables
     out, peak = _traced_peak(lambda: transforms._per_order(x, 0, L, tables, adjoint))
     assert peak <= 1.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x its output"
@@ -473,6 +471,34 @@ def test_band_limits_degrees_and_atomic_numbers_must_be_integers(build, name, va
     else:
         with pytest.raises(ValueError, match=f"{name} {value} must be an integer"):
             build(value)
+
+
+def _unfold_after_one(v):
+    tables = _build_delta(4)
+    tables[1]  # keeps the unfold of degree 1, the entry a boolean key would hit
+    return tables[v]
+
+
+@pytest.mark.parametrize("value", [True, np.True_])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: compute_delta(1) and compute_delta(v), "band limit"),  # a cached band limit 1 first
+        (lambda v: wigner_D(v, Rotation(0.1, 0.2, 0.3)), "degree"),
+        (lambda v: spectral_pool(SpinCoefficients(np.ones((1, 1, 9)), [0], 3), v), "band limit"),
+        (lambda v: SpinCoefficients(np.zeros((1, 1, 4)), [v], 2), "spin"),
+        (lambda v: SpinCoefficients(np.zeros((1, 2, 4)), [0, v], 2), "spin"),  # a mixed list converts to int
+        (lambda v: Molecule([v, 8], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), "atomic number"),
+        (lambda v: SpinCoefficients(np.ones((1, 1, 1)), [0], v), "band limit"),
+        (lambda v: _signal(np.zeros((1, 1, 4, 4)), [v], make_grid(4)), "spin"),
+        (lambda v: FilterBank(np.ones((1, 1, 4)), (v,), (0,)), "spin"),
+        (_unfold_after_one, "degree"),
+    ],
+)
+def test_booleans_are_not_integers(build, name, value):
+    # True is not the integer 1 anywhere the integer rule applies, nor as a key of the kept unfolds.
+    with pytest.raises(ValueError, match=f"{name} .*True.* must be an integer, not a boolean"):
+        build(value)
 
 
 def test_default_config_is_fft_reduced():
