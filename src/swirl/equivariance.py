@@ -34,7 +34,7 @@ def rotate_coefficients(coeffs: SpinCoefficients, rot: Rotation, tables: WignerT
     out = np.empty_like(x)
     for d in range(L):
         block = degree_slice(d)
-        _rotate_degree(tables[d], middle[L - 1 - d : L + d, None], x[block], out[block])
+        _rotate_degree(tables, d, middle[L - 1 - d : L + d, None], x[block], out[block])
     out = np.multiply(out.T, last[column], order="C")
     return SpinCoefficients(out.reshape(coeffs.coeffs.shape), coeffs.spins.copy(), L)
 

@@ -91,13 +91,13 @@ def extend_samples(samples: np.ndarray, spin: int, n: int) -> np.ndarray:
     return np.concatenate([samples, mirrored], axis=-2)
 
 
-@lru_cache(maxsize=None)
 def frequency_weights(n: int) -> np.ndarray:
     """Colatitude-frequency quadrature weights w(k) = int_0^pi e^{ik theta} sin(theta) dtheta.
 
     Returned for k = -(2L-2) .. 2L-2 with L = n/2 (index k + 2L - 2).
     These realize the sin(theta) measure exactly for band-limited
-    integrands once the signal has been extended to the torus.
+    integrands once the signal has been extended to the torus.  Not cached:
+    colatitude_weights and the transforms' colatitude maps, which read it, are.
     """
     L = n // 2
     k = np.arange(-(2 * L - 2), 2 * L - 1)
@@ -106,7 +106,6 @@ def frequency_weights(n: int) -> np.ndarray:
     w[even] = 2.0 / (1.0 - k[even].astype(float) ** 2)
     w[k == 1] = 1j * np.pi / 2
     w[k == -1] = -1j * np.pi / 2
-    w.flags.writeable = False
     return w
 
 

@@ -283,10 +283,17 @@ class ResidualBlockParams:
     projection: FilterBank | None = None
 
 
-def _check_signatures(spins, params: ResidualBlockParams):
+def _check_signatures(spins, band_limit, params: ResidualBlockParams):
     """Raise unless the block's (spins, channels) signatures chain: the input spins into bank1, bank1 into
-    bank2, and the skip path (bank1's input, through the projection if any) onto bank2's output."""
+    bank2, and the skip path (bank1's input, through the projection if any) onto bank2's output; and
+    unless the pooling target is at most the input band limit and every bank has the pooled band limit."""
     bank1, bank2, projection = params.bank1, params.bank2, params.projection
+    pooled = band_limit if params.pool_to is None else int(_integers(params.pool_to, "band limit"))
+    if pooled > band_limit:
+        raise ValueError(f"pooling target {pooled} exceeds current band limit {band_limit}")
+    for bank in filter(None, (bank1, bank2, projection)):
+        if bank.band_limit != pooled:
+            raise ValueError(f"bank band limit {bank.band_limit} does not match coefficients ({pooled})")
     block_in, block_out = (bank1.spins_in, bank1.channels_in), (bank2.spins_out, bank2.channels_out)
     if not np.array_equal(spins, _grouped_spins(*block_in)):
         raise ValueError(f"input spins {spins} do not match bank1's input signature {_grouped_spins(*block_in)}")
@@ -322,8 +329,8 @@ def _residual_impl(x, params, config, mode):
     """Both residual-block entry points.  Where an activation's result goes back to
     coefficients, only its new spin-0 stack is made and transformed: the activation
     leaves the other channels' samples, whose transform is the coefficients' own."""
-    _check_signatures(x.spins, params)
     is_signal = isinstance(x, SpinSignal)
+    _check_signatures(x.spins, x.grid.band_limit if is_signal else x.band_limit, params)
     c_in = forward(x, compute_delta(x.grid.band_limit), config) if is_signal else x
 
     pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in

@@ -178,6 +178,26 @@ def spectral_conv_per_pair(coeffs: np.ndarray, weights: np.ndarray, spins_in, sp
     return out
 
 
+def phase_collapse_per_sample(samples: np.ndarray, spins, w1, w2, bias) -> np.ndarray:
+    """Phase collapse summed one sample, output channel and input channel at a time.
+
+    samples is (batch, channels, n, n) with one spin per channel.  Spin-0 channel o (the o-th
+    channel of spin 0) becomes bias[o] + sum_a w1[o, a] x0_a + sum_c w2[o, c] |x_c| at every
+    sample, over the spin-0 channels a and all channels c; the other channels pass through.
+    """
+    zero = np.flatnonzero(np.asarray(spins) == 0)
+    out = np.array(samples, dtype=complex)
+    for z in range(samples.shape[0]):
+        for o, target in enumerate(zero):
+            total = np.full(samples.shape[2:], bias[o], dtype=complex)
+            for a, source in enumerate(zero):
+                total += w1[o, a] * samples[z, source]
+            for c in range(samples.shape[1]):
+                total += w2[o, c] * np.abs(samples[z, c])
+            out[z, target] = total
+    return out
+
+
 def spherical_integral_quadrature(values_fn, band_limit: int) -> complex:
     """Integral over the sphere of values_fn(theta, phi) on the reference nodes."""
     theta, tw, phi, pw = gauss_legendre_nodes(band_limit)

@@ -151,7 +151,7 @@ def check_wigner_orthogonality(seed=0):
     err_orth = 0.0
     err_sym = 0.0
     for l in range(max_degree + 1):
-        D = tables._unfold(l)  # one-off: tables[l] would keep every unfold on the cached tables
+        D = tables[l]
         err_orth = max(err_orth, np.abs(D @ D.T - np.eye(2 * l + 1)).max())
         m = np.arange(-l, l + 1)
         signs = np.where((m[:, None] - m[None, :]) % 2 == 0, 1.0, -1.0)
@@ -343,6 +343,10 @@ def check_layer_equivariance(seed=0):
     pc = PhaseCollapseParams.random(rng, CHANNELS, len(spins))
     rep = equivariance_error(lambda s: phase_collapse(s, pc), sig, rotations, "phase_collapse", seed)
     rows.append(_row("layers.equivariance.phase_collapse", band_limit, rep.max_rel_err, 1e-6))
+    # Equivariance cannot see a transposed W1 or a dropped bias; the per-sample sum can.
+    want = reference.phase_collapse_per_sample(sig.samples, sig.spins, pc.w1, pc.w2, pc.bias)
+    err = max_rel_error(phase_collapse(sig, pc).samples, want)
+    rows.append(_row("layers.phase_collapse.per_sample_reference", band_limit, err, 1e-12))
 
     state = BatchNormState.initialize(len(spins))
     _, warmed = spectral_batch_norm(coeffs, state, "train")
@@ -389,6 +393,10 @@ def check_batch_norm_semantics(seed=0):
     var = spectral_variance(out).mean(axis=0)
     var_err = np.abs(var - 1.0).max()
     rows = [_row("layers.batch_norm.unit_variance", L, var_err, 1e-2)]
+    # With unit scale, each channel's output variance is exactly var / (var + epsilon), epsilon = 1e-5.
+    var_in = spectral_variance(coeffs).mean(axis=0)
+    err = np.abs(var / (var_in / (var_in + 1e-5)) - 1.0).max()
+    rows.append(_row("layers.batch_norm.exact_variance", L, err, 1e-12))
     # Parseval: spectral variance of a sample equals its spatial variance.
     err = 0.0
     for c in range(len(spins)):

@@ -16,9 +16,9 @@ so a rotation matrix factors through the Delta table of its degree:
 
 Rotations multiply the gamma and alpha phases into all coefficients at once
 and apply Delta^T diag(e^{-i c beta}) Delta per degree, in real arithmetic on
-the real and imaginary parts, with the unfolded tables of each degree kept on
-the tables they are given; ``wigner_D`` and ``wigner_d`` are the same product
-applied to the identity.
+the real and imaginary parts, keeping the unfolded table of each degree on the
+tables they are given (a plain tables[l] read keeps nothing); ``wigner_D`` and
+``wigner_d`` are the same product applied to the identity.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ class WignerTables:
     """Delta matrices d^l(pi/2) for all degrees l < band_limit.
 
     delta[m, l, m'] = Delta^l_{m,m'} for 0 <= m, m' <= l and zero elsewhere, one
-    read-only real (L, L, L) array; tables[l] is the full (2l+1) x (2l+1) table of degree l.
+    read-only real (L, L, L) array; tables[l] unfolds the full (2l+1) x (2l+1) table of degree l, keeping nothing.
 
-    What the tables fix is built on first use, read-only, and kept in one memo, _keep: under
-    ("unfold", l) each tables[l] read (all of them take about 4/3 of delta), and under
-    ("kernel", L, spin) the kernel of each (L, spin) transformed at L <= 80, where it fits one
-    chunk (transforms._per_order), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
+    What rotations and transforms reuse is built on first use, read-only, and kept in one memo, _keep:
+    under ("unfold", l) the unfold of each degree _rotate_degree reads (all of them take about 4/3 of
+    delta), and under ("kernel", L, spin) the kernel of each (L, spin) transformed at L <= 80, where it
+    fits one chunk (transforms._per_order), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
     """
 
     band_limit: int
@@ -68,10 +68,14 @@ class WignerTables:
             raise ValueError(f"delta must be a real array of shape {want} for band limit {self.band_limit}, got {got}")
 
     def __getitem__(self, degree: int) -> np.ndarray:
-        if isinstance(degree, (bool, np.bool_)):  # on every read: True would hit the entry kept for 1
-            raise ValueError(f"degree {degree!r} must be an integer, not a boolean")
-        full = self._kept.get(("unfold", degree))
-        return full if full is not None else self._keep(("unfold", degree), lambda: self._unfold(degree))
+        degree = int(_integers(degree, "degree"))
+        if not 0 <= degree < self.band_limit:
+            raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
+        # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]
+        alt = _signs(np.arange(2 * degree + 1))
+        q = self.delta[: degree + 1, degree, : degree + 1]
+        top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
+        return np.concatenate([alt * top[:0:-1], top])
 
     def _keep(self, key, build) -> np.ndarray:
         """The array kept under key, built by build() and made read-only on first use."""
@@ -81,16 +85,6 @@ class WignerTables:
             kept.flags.writeable = False
             self._kept[key] = kept
         return kept
-
-    def _unfold(self, degree: int) -> np.ndarray:
-        degree = int(_integers(degree, "degree"))  # on a miss only: 3.0 keys the same entry as 3
-        if not 0 <= degree < self.band_limit:
-            raise IndexError(f"degree {degree} is outside the tables' degrees 0 .. {self.band_limit - 1}")
-        # Delta_{i,-j} = (-1)^(l+i) Delta_{i,j}, then Delta_{-i,j} = (-1)^(l-j) Delta_{i,j}: alt[l+i] and alt[l+j]
-        alt = _signs(np.arange(2 * degree + 1))
-        q = self.delta[: degree + 1, degree, : degree + 1]
-        top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
-        return np.concatenate([alt * top[:0:-1], top])
 
 
 @lru_cache(maxsize=8)
@@ -213,12 +207,14 @@ def _rotation_phases(band_limit: int, rot: Rotation) -> np.ndarray:
     return np.exp(-1j * np.outer((rot.gamma, rot.beta, rot.alpha), m)) * _I_POW[[-m % 4, 0 * m, m % 4]]
 
 
-def _rotate_degree(delta: np.ndarray, middle: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = Delta^T diag(middle) Delta x for the degree-l Delta table, x and out C-contiguous complex (2l+1, k).
+def _rotate_degree(tables: WignerTables, degree: int, middle, x, out) -> np.ndarray:
+    """out = Delta^T diag(middle) Delta x for the Delta table of degree, x and out C-contiguous complex (2l+1, k).
 
     The real table multiplies the real and imaginary parts of x as one real (2l+1, 2k) array;
-    middle is the beta phase column of the degree, (2l+1, 1).
+    middle is the beta phase column of the degree, (2l+1, 1).  The unfolded table is kept on
+    tables under ("unfold", degree), since rotations read the same degrees again.
     """
+    delta = tables._keep(("unfold", degree), lambda: tables[degree])
     inner = (delta @ x.view(float)).view(complex)
     inner *= middle
     return np.matmul(delta.T, inner.view(float), out=out.view(float)).view(complex)
@@ -230,9 +226,9 @@ def wigner_D(degree: int, rot: Rotation) -> np.ndarray:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     # a one-off table: Delta^l does not depend on the band limit, so caching it would only evict the transforms' tables
-    delta = _build_delta(degree + 1)[degree]
+    tables = _build_delta(degree + 1)
     first, middle, last = _rotation_phases(degree + 1, rot)
-    D = _rotate_degree(delta, middle[:, None], np.diag(first), np.empty((2 * degree + 1,) * 2, dtype=complex))
+    D = _rotate_degree(tables, degree, middle[:, None], np.diag(first), np.empty((2 * degree + 1,) * 2, dtype=complex))
     return D * last[:, None]
 
 

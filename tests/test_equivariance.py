@@ -117,13 +117,14 @@ def test_rotate_coefficients_is_wigner_D_per_degree(rng, L):
 
 
 def test_rotation_unfolds_only_the_degrees_it_reads(rng):
-    # The unfolded Delta^l are kept on the tables, read-only, for the degrees read so far.
+    # A rotation keeps the unfolded Delta^l of the degrees it reads, read-only; a plain read keeps nothing.
     tables = _build_delta(64)
     rotate_coefficients(random_coefficients(rng, 1, np.array([0, 1]), 4), Rotation.random(rng), tables)
-    unfolded = lambda: sorted(key[1] for key in tables._kept if key[0] == "unfold")
-    assert unfolded() == [0, 1, 2, 3]
-    assert tables[3] is tables._kept["unfold", 3] and not tables[3].flags.writeable
-    assert tables[10].shape == (21, 21) and unfolded() == [0, 1, 2, 3, 10]
+    read = [("unfold", d) for d in range(4)]
+    assert sorted(tables._kept) == read
+    assert not any(full.flags.writeable for full in tables._kept.values())
+    np.testing.assert_array_equal(tables._kept["unfold", 3], tables[3])
+    assert tables[10].shape == (21, 21) and sorted(tables._kept) == read
     for degree in (-1, 64):
         with pytest.raises(IndexError, match=f"degree {degree} is outside"):
             tables[degree]

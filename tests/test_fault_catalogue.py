@@ -96,6 +96,24 @@ def conjugated_rotation_phases(monkeypatch):
     _replace(monkeypatch, wigner, "_rotation_phases", faulty)
 
 
+def transposed_w1(monkeypatch):
+    # the phase collapse mixes its spin-0 channels by W1^T: equivariant, so only the value row sees it
+    faulty = _mutant(layers._spin_zero_collapse, "params.w1 @", "params.w1.T @")
+    _replace(monkeypatch, layers, "_spin_zero_collapse", faulty)
+
+
+def dropped_collapse_bias(monkeypatch):
+    # the phase collapse adds no bias
+    faulty = _mutant(layers._spin_zero_collapse, " + params.bias[:, None]", "")
+    _replace(monkeypatch, layers, "_spin_zero_collapse", faulty)
+
+
+def additive_epsilon(monkeypatch):
+    # batch norm divides by sqrt(var) + epsilon: still close to unit variance
+    faulty = _mutant(layers.spectral_batch_norm, "np.sqrt(var + _EPSILON)", "(np.sqrt(var) + _EPSILON)")
+    _replace(monkeypatch, layers, "spectral_batch_norm", faulty)
+
+
 @pytest.mark.parametrize("fault, group, failing", [
     (rescaled_pool, "layers", ["layers.spectral_pool.leading_coefficients"]),
     (flipped_delta_entry, "wigner", ["wigner.delta.sum_formula", "wigner.d.sum_formula",
@@ -104,6 +122,9 @@ def conjugated_rotation_phases(monkeypatch):
     (dropped_mirror_term, "grid", ["grid.inner_products.oracle.L4"]),
     (flipped_parity, "grid", ["grid.inner_products.oracle.L4"]),
     (conjugated_rotation_phases, "mol", ["mol.rotation_equivariance"]),
+    (transposed_w1, "layers", ["layers.phase_collapse.per_sample_reference"]),
+    (dropped_collapse_bias, "layers", ["layers.phase_collapse.per_sample_reference"]),
+    (additive_epsilon, "layers", ["layers.batch_norm.exact_variance"]),
 ], ids=lambda case: case.__name__ if callable(case) else None)
 def test_verify_sees_the_fault(monkeypatch, fault, group, failing):
     fault(monkeypatch)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -663,6 +665,29 @@ def test_residual_block_checks_signatures_before_any_transform(rng, monkeypatch,
     monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
     with pytest.raises(ValueError, match="signature"):
         residual_block_train(sig, params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["L4_banks_on_L8_signal", "L4_bank2_on_L8_coefficients", "pool_to_16_on_L8_signal"])
+def test_residual_block_checks_band_limits_before_any_transform(rng, monkeypatch, case):
+    # A bank or pooling target that does not fit the input band limit is reported before the first transform.
+    x = smooth_harness_signal(rng, 8, (0, 1), 2)
+    params = _block_params(rng, 4 if case == "L4_banks_on_L8_signal" else 8)
+    if case == "L4_bank2_on_L8_coefficients":
+        x = forward(x, compute_delta(8))
+        params = replace(params, bank2=FilterBank.random(rng, (0, 1), (0, 1), 2, 2, 4, spin_diagonal=True))
+    elif case == "pool_to_16_on_L8_signal":
+        params = replace(params, pool_to=16)
+    calls = []
+
+    def counted(transform):
+        return lambda *args: calls.append(transform.__name__) or transform(*args)
+
+    monkeypatch.setattr(layers, "forward", counted(layers.forward))
+    monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
+    match = "pooling target 16 exceeds" if case == "pool_to_16_on_L8_signal" else r"bank band limit 4 .*\(8\)"
+    with pytest.raises(ValueError, match=match):
+        residual_block_train(x, params)
     assert calls == []
 
 

@@ -475,7 +475,7 @@ def test_band_limits_degrees_and_atomic_numbers_must_be_integers(build, name, va
 
 def _unfold_after_one(v):
     tables = _build_delta(4)
-    tables[1]  # keeps the unfold of degree 1, the entry a boolean key would hit
+    tables[1]  # a read of degree 1, the degree a boolean key would stand for
     return tables[v]
 
 
@@ -496,7 +496,7 @@ def _unfold_after_one(v):
     ],
 )
 def test_booleans_are_not_integers(build, name, value):
-    # True is not the integer 1 anywhere the integer rule applies, nor as a key of the kept unfolds.
+    # True is not the integer 1 anywhere the integer rule applies, nor as a table degree.
     with pytest.raises(ValueError, match=f"{name} .*True.* must be an integer, not a boolean"):
         build(value)
 

@@ -88,6 +88,14 @@ def test_orthogonality_check_keeps_no_unfolded_tables(monkeypatch):
     assert not tables._kept
 
 
+def test_reading_a_table_keeps_nothing():
+    # tables[l] unfolds afresh: only a rotation keeps the unfolds it reuses
+    tables = wigner._build_delta(16)
+    for l in range(16):
+        tables[l]
+    assert not tables._kept
+
+
 @pytest.mark.parametrize(
     "delta",
     [
@@ -118,10 +126,10 @@ def test_every_unfolded_table_of_l64_keeps_both_index_symmetries():
 
 
 def test_table_degrees_follow_the_integer_rule():
-    # an integral degree of any type reads the same kept table; any other value is named
+    # an integral degree of any type reads the same table; any other value is named
     tables = wigner._build_delta(8)
-    assert tables[3.0] is tables[3]
-    assert tables[np.int64(3)] is tables[3]
+    assert np.array_equal(tables[3.0], tables[3])
+    assert np.array_equal(tables[np.int64(3)], tables[3])
     with pytest.raises(ValueError, match=r"degree 2\.5 must be an integer"):
         tables[2.5]
     for degree in (-1, 8, 8.0):
