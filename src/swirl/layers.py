@@ -46,6 +46,8 @@ class FilterBank:
         distinct = len(set(spins_in)) == len(spins_in) > 0 and len(set(spins_out)) == len(spins_out) > 0
         if not distinct or w.ndim != 3 or w.shape[0] % len(spins_in) or w.shape[1] % len(spins_out):
             raise ValueError(f"taps of shape {w.shape} do not split into distinct spins {spins_in} x {spins_out}")
+        if max(map(abs, spins_in + spins_out)) >= w.shape[2]:
+            raise ValueError(f"filter bank spins {spins_in} x {spins_out} are not all below its band limit {w.shape[2]}")
         rows = np.abs(_grouped_spins(spins_in, w.shape[0] // len(spins_in)))
         cols = np.abs(_grouped_spins(spins_out, w.shape[1] // len(spins_out)))
         w[np.arange(w.shape[2]) < np.maximum.outer(rows, cols)[..., None]] = 0.0
@@ -93,18 +95,24 @@ class FilterBank:
         return cls(w, spins_in, spins_out)
 
 
+def _bank_fit(spins, band_limit: int, bank: FilterBank) -> np.ndarray:
+    """The channel spins bank makes of coefficients with these channel spins and band limit; raises unless it fits them."""
+    if bank.band_limit != band_limit:
+        raise ValueError(f"bank band limit {bank.band_limit} does not match coefficients ({band_limit})")
+    expected = _grouped_spins(bank.spins_in, bank.channels_in)
+    if not np.array_equal(spins, expected):
+        raise ValueError(f"coefficient spins {spins} do not match bank input signature {expected}")
+    return _grouped_spins(bank.spins_out, bank.channels_out)
+
+
 def spectral_conv(coeffs: SpinCoefficients, bank: FilterBank) -> SpinCoefficients:
     """Spherical convolution: one (S_out*C_out, S_in*C_in) matmul per degree."""
     L = coeffs.band_limit
-    if bank.band_limit != L:
-        raise ValueError(f"bank band limit {bank.band_limit} does not match coefficients ({L})")
-    expected = _grouped_spins(bank.spins_in, bank.channels_in)
-    if not np.array_equal(coeffs.spins, expected):
-        raise ValueError(f"coefficient spins {coeffs.spins} do not match bank input signature {expected}")
+    spins = _bank_fit(coeffs.spins, L, bank)
     out = np.empty((coeffs.batch, bank.weights.shape[1], num_coefficients(L)), dtype=complex)
     for l in range(L):
         out[..., degree_slice(l)] = bank.weights[:, :, l].T @ coeffs.degree_block(l)
-    return SpinCoefficients(out, _grouped_spins(bank.spins_out, bank.channels_out), L)
+    return SpinCoefficients(out, spins, L)
 
 
 @dataclass(frozen=True)
@@ -155,13 +163,19 @@ def phase_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSigna
 
 def _spin_zero_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> np.ndarray:
     """The new spin-0 stack W1 x0 + W2 |x| + b, shape (batch, spin-0 channels, n, n)."""
-    zero = signal.spins == 0
-    if params.w2.shape != (zero.sum(), signal.channels):
-        raise ValueError(f"phase-collapse w2 of shape {params.w2.shape} does not fit the signal's "
-                         f"{zero.sum()} spin-0 channels of {signal.channels}")
+    zero = _collapse_fit(signal.spins, params)
     x = signal.samples.reshape(signal.batch, signal.channels, -1)
     stack = params.w1 @ x[:, zero] + params.w2 @ np.abs(x) + params.bias[:, None]
     return stack.reshape((signal.batch, -1) + signal.samples.shape[2:])
+
+
+def _collapse_fit(spins, params: PhaseCollapseParams) -> np.ndarray:
+    """The spin-0 mask of channels with these spins; raises unless params' w2 fits them."""
+    zero = spins == 0
+    if params.w2.shape != (zero.sum(), len(spins)):
+        raise ValueError(f"phase-collapse w2 of shape {params.w2.shape} does not fit the signal's "
+                         f"{zero.sum()} spin-0 channels of {len(spins)}")
+    return zero
 
 
 @dataclass(frozen=True)
@@ -201,6 +215,18 @@ def spectral_variance(coeffs: SpinCoefficients) -> np.ndarray:
     return energy.sum(axis=-1) / (4 * np.pi)
 
 
+def _batch_norm_fit(channels: int, batch: int, state: BatchNormState, mode: str):
+    """Raise unless state can normalize a batch of this size and channel count in this mode."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if state.scale.shape != (channels,):
+        raise ValueError(f"state is sized for {state.scale.shape[0]} channels, coefficients have {channels}")
+    if mode == "train" and batch < 1:
+        raise ValueError("train mode requires batch >= 1")
+    if mode == "eval" and state.running_variance is None:
+        raise ValueError("eval mode requires initialized running statistics")
+
+
 def spectral_batch_norm(
     coeffs: SpinCoefficients, state: BatchNormState, mode: str = "train"
 ) -> tuple[SpinCoefficients, BatchNormState]:
@@ -212,13 +238,8 @@ def spectral_batch_norm(
     into the running estimate) the batch variance; eval mode uses the
     running estimate.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if state.scale.shape != (coeffs.channels,):
-        raise ValueError(f"state is sized for {state.scale.shape[0]} channels, coefficients have {coeffs.channels}")
+    _batch_norm_fit(coeffs.channels, coeffs.batch, state, mode)
     if mode == "train":
-        if coeffs.batch < 1:
-            raise ValueError("train mode requires batch >= 1")
         var = spectral_variance(coeffs).mean(axis=0)
         if state.running_variance is None:
             running = var
@@ -226,8 +247,6 @@ def spectral_batch_norm(
             running = (1.0 - _MOMENTUM) * state.running_variance + _MOMENTUM * var
         new_state = replace(state, running_variance=running)
     else:
-        if state.running_variance is None:
-            raise ValueError("eval mode requires initialized running statistics")
         var = state.running_variance
         new_state = state
     work = coeffs.coeffs * (state.scale / np.sqrt(var + _EPSILON))[:, None]
@@ -236,14 +255,20 @@ def spectral_batch_norm(
     return SpinCoefficients(work, coeffs.spins.copy(), coeffs.band_limit), new_state
 
 
+def _pool_fit(spins, band_limit: int, new_band_limit) -> int:
+    """new_band_limit as an int; raises unless it is at most band_limit and above every channel spin."""
+    new_band_limit = int(_integers(new_band_limit, "band limit"))
+    if new_band_limit > band_limit:
+        raise ValueError(f"pooling target {new_band_limit} exceeds current band limit {band_limit}")
+    if np.any(np.abs(spins) >= new_band_limit):
+        raise ValueError(f"pooling target {new_band_limit} is not above all channel spins {spins}")
+    return new_band_limit
+
+
 def spectral_pool(coeffs: SpinCoefficients, new_band_limit: int) -> SpinCoefficients:
     """Low-pass pooling: keep degrees below the new band limit (implied grid n = 2*new_L)."""
-    L, new_band_limit = coeffs.band_limit, int(_integers(new_band_limit, "band limit"))
-    if new_band_limit > L:
-        raise ValueError(f"pooling target {new_band_limit} exceeds current band limit {L}")
-    if np.any(np.abs(coeffs.spins) >= new_band_limit):
-        raise ValueError(f"pooling target {new_band_limit} is not above all channel spins {coeffs.spins}")
-    if new_band_limit == L:
+    new_band_limit = _pool_fit(coeffs.spins, coeffs.band_limit, new_band_limit)
+    if new_band_limit == coeffs.band_limit:
         return coeffs
     return SpinCoefficients(
         coeffs.coeffs[..., : num_coefficients(new_band_limit)].copy(), coeffs.spins.copy(), new_band_limit
@@ -283,27 +308,22 @@ class ResidualBlockParams:
     projection: FilterBank | None = None
 
 
-def _check_signatures(spins, band_limit, params: ResidualBlockParams):
-    """Raise unless the block's (spins, channels) signatures chain: the input spins into bank1, bank1 into
-    bank2, and the skip path (bank1's input, through the projection if any) onto bank2's output; and
-    unless the pooling target is at most the input band limit and every bank has the pooled band limit."""
-    bank1, bank2, projection = params.bank1, params.bank2, params.projection
-    pooled = band_limit if params.pool_to is None else int(_integers(params.pool_to, "band limit"))
-    if pooled > band_limit:
-        raise ValueError(f"pooling target {pooled} exceeds current band limit {band_limit}")
-    for bank in filter(None, (bank1, bank2, projection)):
-        if bank.band_limit != pooled:
-            raise ValueError(f"bank band limit {bank.band_limit} does not match coefficients ({pooled})")
-    block_in, block_out = (bank1.spins_in, bank1.channels_in), (bank2.spins_out, bank2.channels_out)
-    if not np.array_equal(spins, _grouped_spins(*block_in)):
-        raise ValueError(f"input spins {spins} do not match bank1's input signature {_grouped_spins(*block_in)}")
-    if (bank1.spins_out, bank1.channels_out) != (bank2.spins_in, bank2.channels_in):
-        raise ValueError("bank1's output signature does not match bank2's input signature")
-    if projection is None and block_in != block_out:
-        raise ValueError("input and output signatures differ: a skip projection bank is required")
-    if projection is not None and ((projection.spins_in, projection.channels_in),
-                                   (projection.spins_out, projection.channels_out)) != (block_in, block_out):
-        raise ValueError("the skip projection does not map the block's input signature onto its output signature")
+def _check_signatures(x, params: ResidualBlockParams, mode: str):
+    """Raise before any transform unless x fits the block: each layer's own rule in block order, then the
+    skip path's, which must give the main path's output spins (through the projection bank, if any)."""
+    spins, L = x.spins, x.grid.band_limit if isinstance(x, SpinSignal) else x.band_limit
+    if params.pool_to is not None:
+        L = _pool_fit(spins, L, params.pool_to)
+    h = _bank_fit(spins, L, params.bank1)
+    _batch_norm_fit(len(h), x.batch, params.bn1, mode)
+    _collapse_fit(h, params.collapse1)
+    h = _bank_fit(h, L, params.bank2)
+    _batch_norm_fit(len(h), x.batch, params.bn2, mode)
+    skip = spins if params.projection is None else _bank_fit(spins, L, params.projection)
+    if not np.array_equal(skip, h):
+        raise ValueError(f"the skip path's spins {skip} do not match the main path's output signature {h}: "
+                         "a skip projection bank must map the block's input onto its output")
+    _collapse_fit(h, params.collapse2)
 
 
 def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEFAULT_CONFIG):
@@ -330,7 +350,7 @@ def _residual_impl(x, params, config, mode):
     coefficients, only its new spin-0 stack is made and transformed: the activation
     leaves the other channels' samples, whose transform is the coefficients' own."""
     is_signal = isinstance(x, SpinSignal)
-    _check_signatures(x.spins, x.grid.band_limit if is_signal else x.band_limit, params)
+    _check_signatures(x, params, mode)
     c_in = forward(x, compute_delta(x.grid.band_limit), config) if is_signal else x
 
     pooled = spectral_pool(c_in, params.pool_to) if params.pool_to is not None else c_in

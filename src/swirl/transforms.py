@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SphericalGrid, make_grid, weight_matrix
+from .grid import SphericalGrid, _integers, make_grid, weight_matrix
 from .signal import SpinCoefficients, SpinSignal, degree_of_index, num_coefficients
 from .wigner import WignerTables, _I_POW, _signs
 
@@ -175,7 +175,7 @@ def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid) -> np.nd
         raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
     if spin != int(spin) or abs(spin) >= grid.band_limit:
         raise ValueError(f"spin {spin} must be an integer with |spin| < band limit {grid.band_limit}")
-    return _analysis(samples, int(spin), grid.band_limit, "fft", reduced=False)
+    return _analysis(samples, int(_integers(spin, "spin")), grid.band_limit, "fft", reduced=False)
 
 
 def _check_tables(band_limit: int, tables: WignerTables):

@@ -110,6 +110,8 @@ def test_filter_bank_zeroes_taps_below_spin():
         ((2, 2), (0, 1), (0, 1)),
         ((2, 2, 4), (0, 0), (0, 1)),  # repeated spin
         ((2, 2, 4), (), (0, 1)),
+        ((2, 2, 4), (0, 1), (0, 4)),  # spin 4 has no degree below band limit 4: every tap would be zero
+        ((2, 1, 1), (0, 1), (0,)),  # spin 1 at band limit 1
     ],
 )
 def test_filter_bank_rejects_bad_layouts(shape, spins_in, spins_out):
@@ -633,9 +635,31 @@ def test_residual_block_channel_projection(rng):
     np.testing.assert_array_equal(out.spins, [0, 0, 0, 0, 1, 1, 1, 1])
 
 
-@pytest.mark.parametrize("fault", ["input", "middle", "projection_out", "no_projection"])
+def _count_transforms(monkeypatch):
+    """The names of the layers module's forward and inverse calls from now on, in call order."""
+    calls = []
+
+    def counted(transform):
+        return lambda *args: calls.append(transform.__name__) or transform(*args)
+
+    monkeypatch.setattr(layers, "forward", counted(layers.forward))
+    monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
+    return calls
+
+
+_SIZE_MISFITS = {  # a fault in a batch-norm state or collapse, and its layer's message
+    "bn1": "state is sized for 7 channels, coefficients have 8",
+    "collapse1": r"w2 of shape \(4, 7\) does not fit",
+    "bn2": "state is sized for 7 channels, coefficients have 8",
+    "collapse2": r"w2 of shape \(4, 7\) does not fit",
+    "untrained_eval": "eval mode requires initialized running statistics",
+}
+
+
+@pytest.mark.parametrize("fault", ["input", "middle", "projection_out", "no_projection", *_SIZE_MISFITS])
 def test_residual_block_checks_signatures_before_any_transform(rng, monkeypatch, fault):
-    # A signature that does not chain is reported before the first transform, not after the main path has run.
+    # A signature that does not chain, or a batch-norm state or collapse that does not fit its layer's
+    # channels, is reported before the first transform, not after the main path has run.
     L = 8
     b1 = FilterBank.random(rng, (0, 1), (0, 1), 2, 4, L)
     b2 = FilterBank.random(rng, (0, 1), (0, 1), 4, 4, L)
@@ -648,47 +672,110 @@ def test_residual_block_checks_signatures_before_any_transform(rng, monkeypatch,
         proj = FilterBank.random(rng, (0, 1), (0,), 2, 8, L, per_degree=False)
     params = ResidualBlockParams(
         bank1=b1,
-        bn1=BatchNormState.initialize(8),
-        collapse1=PhaseCollapseParams.random(rng, 4, 8),
+        bn1=BatchNormState.initialize(7 if fault == "bn1" else 8),
+        collapse1=PhaseCollapseParams.random(rng, 4, 7 if fault == "collapse1" else 8),
         bank2=b2,
-        bn2=BatchNormState.initialize(8),
-        collapse2=PhaseCollapseParams.random(rng, 4, 8),
+        bn2=BatchNormState.initialize(7 if fault == "bn2" else 8),
+        collapse2=PhaseCollapseParams.random(rng, 4, 7 if fault == "collapse2" else 8),
         projection=None if fault == "no_projection" else proj,
     )
     sig = smooth_harness_signal(rng, L, (0, 1), 2)
-    calls = []
-
-    def counted(transform):
-        return lambda *args: calls.append(transform.__name__) or transform(*args)
-
-    monkeypatch.setattr(layers, "forward", counted(layers.forward))
-    monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
-    with pytest.raises(ValueError, match="signature"):
-        residual_block_train(sig, params)
+    calls = _count_transforms(monkeypatch)
+    with pytest.raises(ValueError, match=_SIZE_MISFITS.get(fault, "signature")):
+        residual_block(sig, params) if fault == "untrained_eval" else residual_block_train(sig, params)
     assert calls == []
 
 
-@pytest.mark.parametrize("case", ["L4_banks_on_L8_signal", "L4_bank2_on_L8_coefficients", "pool_to_16_on_L8_signal"])
+_BAND_LIMIT_MISFITS = {  # a fault in a band limit, and its message
+    "L4_banks_on_L8_signal": r"bank band limit 4 .*\(8\)",
+    "L4_bank2_on_L8_coefficients": r"bank band limit 4 .*\(8\)",
+    "pool_to_16_on_L8_signal": "pooling target 16 exceeds",
+    "pool_to_1_on_spin_1_signal": r"spins \(0, 1\) x \(0, 1\) are not all below its band limit 1",
+    "spin_4_bank2_at_L4": r"spins \(0, 1\) x \(0, 4\) are not all below its band limit 4",
+}
+
+
+@pytest.mark.parametrize("case", list(_BAND_LIMIT_MISFITS))
 def test_residual_block_checks_band_limits_before_any_transform(rng, monkeypatch, case):
-    # A bank or pooling target that does not fit the input band limit is reported before the first transform.
-    x = smooth_harness_signal(rng, 8, (0, 1), 2)
-    params = _block_params(rng, 4 if case == "L4_banks_on_L8_signal" else 8)
+    # A bank or pooling target that does not fit the input band limit is reported before the first
+    # transform; a bank with a spin at or above its own band limit, which no block can run, when it is built.
+    x = smooth_harness_signal(rng, 4 if case == "spin_4_bank2_at_L4" else 8, (0, 1), 2)
     if case == "L4_bank2_on_L8_coefficients":
         x = forward(x, compute_delta(8))
-        params = replace(params, bank2=FilterBank.random(rng, (0, 1), (0, 1), 2, 2, 4, spin_diagonal=True))
-    elif case == "pool_to_16_on_L8_signal":
-        params = replace(params, pool_to=16)
-    calls = []
-
-    def counted(transform):
-        return lambda *args: calls.append(transform.__name__) or transform(*args)
-
-    monkeypatch.setattr(layers, "forward", counted(layers.forward))
-    monkeypatch.setattr(layers, "inverse", counted(layers.inverse))
-    match = "pooling target 16 exceeds" if case == "pool_to_16_on_L8_signal" else r"bank band limit 4 .*\(8\)"
-    with pytest.raises(ValueError, match=match):
+    calls = _count_transforms(monkeypatch)
+    with pytest.raises(ValueError, match=_BAND_LIMIT_MISFITS[case]):
+        L = 4 if case in ("L4_banks_on_L8_signal", "spin_4_bank2_at_L4") else 8
+        params = _block_params(rng, L, pool_to=1 if case == "pool_to_1_on_spin_1_signal" else None)
+        if case == "L4_bank2_on_L8_coefficients":
+            params = replace(params, bank2=FilterBank.random(rng, (0, 1), (0, 1), 2, 2, 4, spin_diagonal=True))
+        elif case == "pool_to_16_on_L8_signal":
+            params = replace(params, pool_to=16)
+        elif case == "spin_4_bank2_at_L4":
+            params = replace(
+                params,
+                bank2=FilterBank.random(rng, (0, 1), (0, 4), 2, 2, 4),
+                projection=FilterBank.random(rng, (0, 1), (0, 4), 2, 2, 4, per_degree=False),
+            )
         residual_block_train(x, params)
     assert calls == []
+
+
+_BLOCK_PARTS = ("input", "pool", "bank_L", "bn1", "collapse1", "middle", "bn2", "skip", "collapse2", "untrained")
+
+
+@st.composite
+def _block_cases(draw):
+    # (input, block parameters, mode): a fitting layout over drawn spin sets, channel counts and band limits,
+    # with up to two of its parts made one too large (an eval-mode "untrained" has no running statistics)
+    broken = draw(st.sets(st.sampled_from(_BLOCK_PARTS), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.integers(1, 6))
+    pool_to = draw(st.none() | st.integers(1, L))
+    pooled = pool_to or L
+    spin_sets = st.lists(st.integers(-(pooled - 1), pooled - 1), min_size=1, max_size=2, unique=True).map(tuple)
+    (spins_in, cin), (spins_mid, cmid) = [(draw(spin_sets), draw(st.integers(1, 2))) for _ in range(2)]
+    spins_out, cout = (spins_in, cin) if draw(st.booleans()) else (draw(spin_sets), draw(st.integers(1, 2)))
+    mid, out = len(spins_mid) * cmid, len(spins_out) * cout
+
+    def grow(part, size):
+        return size + (part in broken)
+
+    def norm(channels):
+        running = None if "untrained" in broken else np.ones(channels)
+        return BatchNormState(np.ones(channels), np.zeros(channels, dtype=complex), running)
+
+    bank_L = grow("bank_L", pooled)
+
+    projection = None
+    if (spins_in, cin) != (spins_out, cout) or "skip" in broken or draw(st.booleans()):
+        projection = FilterBank.random(rng, spins_in, spins_out, cin, grow("skip", cout), bank_L, per_degree=False)
+    params = ResidualBlockParams(
+        bank1=FilterBank.random(rng, spins_in, spins_mid, cin, cmid, bank_L),
+        bn1=norm(grow("bn1", mid)),
+        collapse1=PhaseCollapseParams.random(rng, cmid * spins_mid.count(0), grow("collapse1", mid)),
+        bank2=FilterBank.random(rng, spins_mid, spins_out, grow("middle", cmid), cout, bank_L),
+        bn2=norm(grow("bn2", out)),
+        collapse2=PhaseCollapseParams.random(rng, cout * spins_out.count(0), grow("collapse2", out)),
+        pool_to=L + 1 if "pool" in broken else pool_to,
+        projection=projection,
+    )
+    x = random_coefficients(rng, draw(st.integers(1, 2)), np.repeat(spins_in, grow("input", cin)), L)
+    if draw(st.booleans()):
+        x = inverse(x, compute_delta(L))
+    return x, params, draw(st.sampled_from(["train", "eval"]))
+
+
+@given(_block_cases())
+def test_residual_block_runs_or_raises_before_any_transform(case):
+    # Every input and parameter set either runs through the block or is refused with a ValueError before
+    # the first transform: the block's check applies every rule its layers would apply later.
+    x, params, mode = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_transforms(monkeypatch)
+        try:
+            (residual_block_train if mode == "train" else residual_block)(x, params)
+        except ValueError:
+            assert calls == []
 
 
 def _residual_composition(x, params):

@@ -493,6 +493,7 @@ def _unfold_after_one(v):
         (lambda v: _signal(np.zeros((1, 1, 4, 4)), [v], make_grid(4)), "spin"),
         (lambda v: FilterBank(np.ones((1, 1, 4)), (v,), (0,)), "spin"),
         (_unfold_after_one, "degree"),
+        (lambda v: inner_products(np.zeros((8, 8)), v, make_grid(8)), "spin"),
     ],
 )
 def test_booleans_are_not_integers(build, name, value):
