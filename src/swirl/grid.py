@@ -21,16 +21,33 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Equiangular n x n sampling of the sphere with band limit L = n/2."""
+    """Equiangular n x n sampling of the sphere with band limit L = n/2.
+
+    A grid is its resolution n, an even integer >= 2 (an integral float such as 8.0 is that integer):
+    grids of one n compare equal and hash alike, and the band limit and sample points derive from n.
+    """
 
     n: int
-    colatitudes: np.ndarray
-    longitudes: np.ndarray
-    band_limit: int
 
     def __post_init__(self):
-        self.colatitudes.flags.writeable = False
-        self.longitudes.flags.writeable = False
+        size = _integers(self.n, "grid resolution")
+        if size.ndim or size < 2 or size % 2 != 0:
+            raise ValueError(f"grid resolution must be a positive even integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(size))
+
+    @property
+    def band_limit(self) -> int:
+        return self.n // 2
+
+    @property
+    def colatitudes(self) -> np.ndarray:
+        """theta_j = pi (2j + 1) / (2n), a new array on each read."""
+        return np.pi * (2 * np.arange(self.n) + 1) / (2 * self.n)
+
+    @property
+    def longitudes(self) -> np.ndarray:
+        """phi_k = 2 pi k / n, a new array on each read."""
+        return 2 * np.pi * np.arange(self.n) / self.n
 
     def unit_vectors(self) -> np.ndarray:
         """Cartesian unit vectors of all grid points, shape (n, n, 3)."""
@@ -64,14 +81,13 @@ def _integers(values, name: str) -> np.ndarray:
 
 def make_grid(n: int) -> SphericalGrid:
     """Build the equiangular grid for an even resolution n >= 2 (an integral float such as 8.0 is that integer)."""
-    size = _integers(n, "grid resolution")
-    if size.ndim or size < 2 or size % 2 != 0:
-        raise ValueError(f"grid resolution must be a positive even integer, got {n!r}")
-    n = int(size)
-    j = np.arange(n)
-    colatitudes = np.pi * (2 * j + 1) / (2 * n)
-    longitudes = 2 * np.pi * j / n
-    return SphericalGrid(n=n, colatitudes=colatitudes, longitudes=longitudes, band_limit=n // 2)
+    return SphericalGrid(n)
+
+
+def _check_samples(samples, grid: SphericalGrid) -> None:
+    """Reject samples whose trailing shape is not the grid's (n, n)."""
+    if np.shape(samples)[-2:] != (grid.n, grid.n):
+        raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
 
 
 def parity_sign(spin: int) -> float:
@@ -139,6 +155,7 @@ def colatitude_weights(n: int) -> np.ndarray:
 
 def spherical_integral(samples: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     """Integral over the sphere of samples (..., n, n), exact for band-limited input."""
+    _check_samples(samples, grid)
     lam = colatitude_weights(grid.n)
     return np.einsum("...jk,j->...", samples, lam)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SphericalGrid, _integers, make_grid  # in grid, as make_grid checks its resolution with it
+from .grid import SphericalGrid, _check_samples, _integers, make_grid  # in grid, as grids check n with _integers
 
 
 def num_coefficients(band_limit: int) -> int:
@@ -57,9 +57,7 @@ class SpinSignal:
         object.__setattr__(self, "spins", spins)
         if samples.ndim != 4:
             raise ValueError(f"samples must be 4-D (batch, channels, n, n), got shape {samples.shape}")
-        n = self.grid.n
-        if samples.shape[-2:] != (n, n):
-            raise ValueError(f"samples shape {samples.shape[-2:]} does not match grid ({n}, {n})")
+        _check_samples(samples, self.grid)
         if spins.shape != (samples.shape[1],):
             raise ValueError(f"spins must have one entry per channel, got {spins.shape}")
         if np.any(np.abs(spins) >= self.grid.band_limit):

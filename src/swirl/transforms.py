@@ -25,16 +25,21 @@ A spin-s transform on the n x n grid (n = 2L) is three linear stages:
        G_{-m',m} = (-1)^s i^(m+s) sum_l K_s[m, l, m'] coeff(l, m).
 
    The kernel is read from the quadrant of the tables: K_s[m, l, m'] = (-1)^(m+s)
-   alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}, with Delta^l_{-s,m'} = (-1)^(l-m')
-   Delta^l_{s,m'}, and G_{m',m} is the same sum up to (-1)^(m+s) as
-   Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}.  Orders m < 0 reuse the kernel
-   of -m, as Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m} exactly in the tables:
-   (-1)^m' moves onto the input (forward) or output (inverse), (-1)^l the other way.
+   alpha_l Delta^l_{m,m'} Delta^l_{-s,m'}, and G_{m',m} is the same sum up to
+   (-1)^(m+s) as Delta^l_{-m',b} = (-1)^(l-b) Delta^l_{m',b}.  One kernel,
+   alpha_l Delta^l_{|m|,m'} Delta^l_{|s|,m'}, serves the orders m and -m and the
+   spins s and -s, as Delta^l_{m',-m} = (-1)^(l+m') Delta^l_{m',m} and
+   Delta^l_{-s,m'} = (-1)^(l+m') Delta^l_{s,m'} exactly in the tables.  Of each
+   sign pair, (-1)^m' moves onto the input (forward) or output (inverse) and
+   (-1)^l onto the phases.  Where both reflections apply their pairs cancel, so
+   one signed half of the order-major layout carries the pair: the orders m < 0
+   for s <= 0 and m >= 0 for s > 0.
 
 All four backend/path combinations agree to rounding.  The colatitude maps and the
-flat-order maps are cached per (L, parity) and (L, spin).  Every spin's kernel that fits one
-chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on the tables
-(WignerTables._keep); any other is rebuilt per call, one chunk at a time.
+flat-order maps are cached per (L, parity) and (L, spin).  The kernel of each (L, |s|)
+that fits one chunk of _KERNEL_CHUNK_BYTES (4 MiB, so L <= 80) is built once and kept on
+the tables (WignerTables._keep), 8 L^2 (L - |s|) bytes shared by s and -s; any other is
+rebuilt per call, one chunk at a time.
 
 Besides its input and output, a call holds the per-order buffers of one spin (the
 order-major operand and product, each half the samples of the spin's maps, freed
@@ -51,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SphericalGrid, _integers, make_grid, weight_matrix
+from .grid import SphericalGrid, _check_samples, _integers, make_grid, weight_matrix
 from .signal import SpinCoefficients, SpinSignal, degree_of_index, num_coefficients
 from .wigner import WignerTables, _I_POW, _signs
 
@@ -171,8 +176,7 @@ def inner_products(samples: np.ndarray, spin: int, grid: SphericalGrid) -> np.nd
     I_{m',m} = integral of f(theta, phi) e^{-i m' theta} e^{-i m phi}
     over the sphere, exact for band-limited f; m', m in [-(L-1), L-1].
     """
-    if np.shape(samples)[-2:] != (grid.n, grid.n):
-        raise ValueError(f"samples end in shape {np.shape(samples)[-2:]}, the grid needs {(grid.n, grid.n)}")
+    _check_samples(samples, grid)
     if spin != int(spin) or abs(spin) >= grid.band_limit:
         raise ValueError(f"spin {spin} must be an integer with |spin| < band limit {grid.band_limit}")
     return _analysis(samples, int(_integers(spin, "spin")), grid.band_limit, "fft", reduced=False)
@@ -209,43 +213,49 @@ def forward(signal: SpinSignal, tables: WignerTables, config: TransformConfig = 
 @lru_cache(maxsize=32)
 def _flat_orders(L: int, spin: int):
     # row (|m| L + l) 2 + [m < 0] of the (L, L, 2) order-major layout and phase (-1)^s i^(m+s), times (-1)^l
-    # for m < 0, of every flat index l^2 + l + m; the forward takes the conjugate, (-1)^(m+s) times the phase
+    # on the signed half, of every flat index l^2 + l + m; the forward takes the conjugate, (-1)^(m+s) times
+    # the phase.  The signed half is m < 0 for s <= 0 and m >= 0 for s > 0 (see _signed)
     l = degree_of_index(L)
     m = np.arange(L * L) - l * l - l
     half = (m < 0).astype(int)
     rows = (np.abs(m) * L + l) * 2 + half
-    phases = (-1.0) ** spin * _I_POW[(m + spin) % 4] * np.where(half, _signs(l), 1.0)
+    phases = (-1.0) ** spin * _I_POW[(m + spin) % 4] * np.where(half != (spin > 0), _signs(l), 1.0)
     rows.flags.writeable = phases.flags.writeable = False
     return rows, phases
 
 
-def _kernel(tables, spin, L, mu0, mu1):
-    """Kernel of the orders mu0 <= m < mu1, shape (mu1 - mu0, L - l0, L): entry [m, l, m'] is alpha_l Delta^l_{m,m'}
-    Delta^l_{-s,m'} (K_s up to the order sign (-1)^(m+s)) for the degrees l >= l0 = max(mu0, |s|), with the
-    quadrant's zeros at m > l and m' > l.  Only degrees and orders below L are read from the tables."""
-    a, l0 = abs(spin), max(mu0, abs(spin))
-    l = np.arange(l0, L)[:, None]
-    signs = _signs(l - np.arange(L)) if spin > 0 else 1.0  # Delta^l_{-s,m'} = (-1)^(l-m') Delta^l_{s,m'}
-    rows = np.sqrt((2 * l + 1) / (4 * np.pi)) * signs * tables.delta[a, l0:L, :L]  # alpha_l Delta^l_{-s,m'}
+def _kernel(tables, a, L, mu0, mu1):
+    """Kernel of the orders mu0 <= m < mu1 shared by the spins s = a and s = -a, shape (mu1 - mu0, L - l0, L):
+    entry [m, l, m'] is alpha_l Delta^l_{m,m'} Delta^l_{a,m'} (K_s up to the order and spin signs) for the
+    degrees l >= l0 = max(mu0, |s|), with the quadrant's zeros at m > l and m' > l.  Only degrees and orders
+    below L are read from the tables."""
+    l0 = max(mu0, a)
+    rows = np.sqrt((2 * np.arange(l0, L)[:, None] + 1) / (4 * np.pi)) * tables.delta[a, l0:L, :L]
     return tables.delta[mu0:mu1, l0:L, :L] * rows
 
 
-def _per_order(x, spin, L, tables, adjoint):
-    """One matmul per order against the kernel, on the real and imaginary parts at once, written in place.
+def _signed(part: np.ndarray, signed: bool) -> np.ndarray:
+    """part (|m|, m', k), times (-1)^m' if it is the signed half of the order-major layout."""
+    return _signs(np.arange(part.shape[1]))[:, None] * part if signed else part
+
+
+def _per_order(x, a, L, tables, adjoint):
+    """One matmul per order against the kernel of the spins +-a, on the real and imaginary parts at once,
+    written in place.
 
     x is complex, (L, L, 2, k) with axes (|m|, m', half, map) for the forward and (|m|, l, half, map)
     for the adjoint; the product has the other of the two middle axes.  The orders run in chunks of
     _KERNEL_CHUNK_BYTES: a kernel of one chunk (8 L^3 bytes, so L <= 80 at 4 MiB) is kept on the tables
-    under ("kernel", L, spin), any other is built per call, one chunk alive at a time.
+    under ("kernel", L, a), any other is built per call, one chunk alive at a time.
     """
     real = x.view(float).reshape(L, L, -1)
     out = np.zeros(real.shape)  # not zeros_like, which touches every page: the forward writes only the rows l >= l0
     chunks = _chunks(L, 8 * L * L, _KERNEL_CHUNK_BYTES)
     for mu in chunks:
         if len(chunks) == 1:
-            K = tables._keep(("kernel", L, spin), lambda: _kernel(tables, spin, L, 0, L))
+            K = tables._keep(("kernel", L, a), lambda: _kernel(tables, a, L, 0, L))
         else:
-            K = _kernel(tables, spin, L, mu.start, mu.stop)
+            K = _kernel(tables, a, L, mu.start, mu.stop)
         l0 = L - K.shape[1]
         if adjoint:
             np.matmul(K.transpose(0, 2, 1), real[mu, l0:], out=out[mu])
@@ -259,16 +269,16 @@ def _forward_block(samples, maps, spin, L, tables, config, out):
     """Write the coefficients of the maps samples[maps] of one spin into the rows out[maps]."""
     c = L - 1
     reduced = config.symmetry_path == "reduced"
-    # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = (-1)^m' I[m', m] for m <= 0
+    # x[|m|, m', 0] = I[m', m] for m >= 0; x[|m|, m', 1] = I[m', m] for m <= 0; (-1)^m' on the signed half
     x = np.empty((L, L, 2, len(maps)), dtype=complex)
     chunks = _chunks(len(maps), 64 * L * L, _MAP_CHUNK_BYTES)
     for chunk in chunks:
         I = _analysis(samples[maps[chunk]], spin, L, config.fourier_backend, reduced)
         if not reduced:
             I = _fold(I, _signs(np.arange(-c, L) + spin))
-        x[:, :, 0, chunk] = I[:, :, c:].transpose(2, 1, 0)
-        x[:, :, 1, chunk] = _signs(np.arange(L))[:, None] * I[:, :, c::-1].transpose(2, 1, 0)
-    y = _per_order(x, spin, L, tables, adjoint=False).reshape(2 * L * L, len(maps))
+        x[:, :, 0, chunk] = _signed(I[:, :, c:].transpose(2, 1, 0), spin > 0)
+        x[:, :, 1, chunk] = _signed(I[:, :, c::-1].transpose(2, 1, 0), spin <= 0)
+    y = _per_order(x, abs(spin), L, tables, adjoint=False).reshape(2 * L * L, len(maps))
     rows, phases = _flat_orders(L, spin)
     for chunk in chunks:
         out[maps[chunk]] = (y[rows, chunk] * phases.conj()[:, None]).T
@@ -299,12 +309,12 @@ def _g_rows(coeffs, tables):
         rows, phases = _flat_orders(L, spin)
         x = np.zeros((2 * L * L, len(maps)), dtype=complex)
         x[rows] = (flat[maps] * phases).T
-        y = _per_order(x.reshape(L, L, 2, len(maps)), spin, L, tables, adjoint=True)
+        y = _per_order(x.reshape(L, L, 2, len(maps)), abs(spin), L, tables, adjoint=True)
         del x
         for chunk in _chunks(len(maps), 64 * L * L, _MAP_CHUNK_BYTES):
             G = np.empty((len(maps[chunk]), L, 2 * L - 1), dtype=complex)
-            G[:, :, c:] = y[:, :, 0, chunk].transpose(2, 1, 0)
-            G[:, :, :c] = (_signs(np.arange(L))[:, None] * y[:0:-1, :, 1, chunk]).transpose(2, 1, 0)  # (-1)^m'
+            G[:, :, c:] = _signed(y[:, :, 0, chunk], spin > 0).transpose(2, 1, 0)
+            G[:, :, :c] = _signed(y[:0:-1, :, 1, chunk], spin <= 0).transpose(2, 1, 0)
             yield spin, maps[chunk], G
         del y  # before the next spin's product
 

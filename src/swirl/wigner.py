@@ -53,8 +53,9 @@ class WignerTables:
 
     What rotations and transforms reuse is built on first use, read-only, and kept in one memo, _keep:
     under ("unfold", l) the unfold of each degree _rotate_degree reads (all of them take about 4/3 of
-    delta), and under ("kernel", L, spin) the kernel of each (L, spin) transformed at L <= 80, where it
-    fits one chunk (transforms._per_order), so at most 8 L^2 (L - |spin|) bytes (<= 4 MiB) each.
+    delta), and under ("kernel", L, |s|) the kernel that spins s and -s share, for each (L, |s|) transformed
+    at L <= 80, where it fits one chunk (transforms._per_order): 8 L^2 (L - |s|) bytes (<= 4 MiB) each, so
+    at most 8 L^2 (L^2 + L) / 2 bytes per L (158.2 MiB for all spins at L = 80).
     """
 
     band_limit: int

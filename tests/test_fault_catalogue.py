@@ -35,13 +35,16 @@ def _replace(monkeypatch, module, name, value):
             monkeypatch.setattr(mod, name, value)
 
 
-def _mutant(function, old, new):
-    """function with the one occurrence of old in its source replaced by new, in its own module's globals."""
+def _mutant(function, old, new, swap=False):
+    """function with the one occurrence of old in its source replaced by new (and that of new by old if swap),
+    in its own module's globals."""
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, f"{function.__name__} no longer reads {old!r}"
+    for text in (old, new) if swap else (old,):
+        assert source.count(text) == 1, f"{function.__name__} no longer reads {text!r} once"
+    source = source.replace(new, "\0").replace(old, new).replace("\0", old) if swap else source.replace(old, new)
     bare = inspect.unwrap(function)  # a cached function's file and globals are its wrapped function's
     namespace = {}
-    exec(compile(source.replace(old, new), inspect.getsourcefile(bare), "exec"), bare.__globals__, namespace)
+    exec(compile(source, inspect.getsourcefile(bare), "exec"), bare.__globals__, namespace)
     return namespace[function.__name__]
 
 
@@ -74,8 +77,26 @@ def flipped_delta_entry(monkeypatch):
 
 def kernel_l0_off_by_one(monkeypatch):
     # each chunk of orders skips the degree l = mu0
-    faulty = _mutant(transforms._kernel, "max(mu0, abs(spin))", "max(mu0 + 1, abs(spin))")
+    faulty = _mutant(transforms._kernel, "max(mu0, a)", "max(mu0 + 1, a)")
     _replace(monkeypatch, transforms, "_kernel", faulty)
+
+
+def phases_ignore_the_spin_sign(monkeypatch):
+    # the phases put (-1)^l on the orders m < 0 for every spin, as if no spin s > 0 moved its sign there
+    faulty = _mutant(transforms._flat_orders, "np.where(half != (spin > 0),", "np.where(half,")
+    _replace(monkeypatch, transforms, "_flat_orders", faulty)
+
+
+def adjoint_sign_on_the_wrong_half(monkeypatch):
+    # the inverse puts (-1)^m' on the half of the order-major layout that the spin leaves unsigned
+    faulty = _mutant(transforms._g_rows, "spin > 0)", "spin <= 0)", swap=True)
+    _replace(monkeypatch, transforms, "_g_rows", faulty)
+
+
+def forward_sign_on_the_wrong_half(monkeypatch):
+    # the forward puts (-1)^m' on the half of the order-major operand that the spin leaves unsigned
+    faulty = _mutant(transforms._forward_block, "spin > 0)", "spin <= 0)", swap=True)
+    _replace(monkeypatch, transforms, "_forward_block", faulty)
 
 
 def dropped_mirror_term(monkeypatch):
@@ -119,6 +140,9 @@ def additive_epsilon(monkeypatch):
     (flipped_delta_entry, "wigner", ["wigner.delta.sum_formula", "wigner.d.sum_formula",
                                      "wigner.delta.orthogonality", "wigner.delta.transpose_symmetry"]),
     (kernel_l0_off_by_one, "swsft", ["swsft.roundtrip.coeffs.L4"]),
+    (phases_ignore_the_spin_sign, "swsft", ["swsft.forward.oracle.s1.L4", "swsft.forward.oracle.s1.L8"]),
+    (adjoint_sign_on_the_wrong_half, "swsft", ["swsft.roundtrip.samples.L4", "swsft.roundtrip.coeffs.L64"]),
+    (forward_sign_on_the_wrong_half, "swsft", ["swsft.forward.oracle.s-1.L4", "swsft.forward.oracle.s1.L8"]),
     (dropped_mirror_term, "grid", ["grid.inner_products.oracle.L4"]),
     (flipped_parity, "grid", ["grid.inner_products.oracle.L4"]),
     (conjugated_rotation_phases, "mol", ["mol.rotation_equivariance"]),

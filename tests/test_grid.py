@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from swirl import reference
 from swirl.grid import (
+    SphericalGrid,
     colatitude_weights,
     extend_samples,
     frequency_weights,
     make_grid,
     spherical_integral,
+    spherical_mean,
     weight_matrix,
 )
 from swirl.transforms import inner_products
@@ -33,10 +37,47 @@ def test_make_grid_n64_pole_free():
     assert grid.colatitudes.min() > 0.0
 
 
-@pytest.mark.parametrize("bad", [0, -2, 3, 7])
+@pytest.mark.parametrize("bad", [0, -2, 3, 7, 2.5])
 def test_make_grid_rejects_bad_resolution(bad):
-    with pytest.raises(ValueError):
+    # a grid checks its resolution by make_grid's rule, with make_grid's message
+    with pytest.raises(ValueError, match="grid resolution") as built:
         make_grid(bad)
+    with pytest.raises(ValueError, match="grid resolution") as direct:
+        SphericalGrid(bad)
+    assert str(direct.value) == str(built.value)
+
+
+def test_grids_of_one_resolution_are_equal_and_hash_alike():
+    assert make_grid(8) == make_grid(8) == make_grid(8.0) == SphericalGrid(8)
+    assert hash(make_grid(8)) == hash(make_grid(8.0))
+    assert make_grid(8) != make_grid(10)
+    assert len({make_grid(8), make_grid(8), make_grid(10)}) == 2
+
+
+def test_a_grid_is_its_resolution():
+    # n is the only field; the band limit and the sample points derive from it, bit for bit make_grid's
+    # formulas, so no grid can pair a resolution with other points or another band limit.
+    assert [f.name for f in dataclasses.fields(SphericalGrid)] == ["n"]
+    with pytest.raises(TypeError):
+        SphericalGrid(8, np.zeros(3), np.zeros(5), 99)
+    grid = SphericalGrid(8)
+    j = np.arange(8)
+    assert grid.band_limit == 4
+    np.testing.assert_array_equal(grid.colatitudes, np.pi * (2 * j + 1) / (2 * 8))
+    np.testing.assert_array_equal(grid.longitudes, 2 * np.pi * j / 8)
+    grid.colatitudes[0] = grid.longitudes[0] = 5.0  # a read is the caller's own array
+    assert grid.colatitudes[0] == np.pi / 16 and grid.longitudes[0] == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.n = 16
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (8, 4), (16, 8), (2, 8, 16), (8,)])
+def test_spherical_integral_rejects_samples_off_the_grid(shape):
+    # The row weights take any number of columns: unchecked, (8, 16) ones integrate to 8 pi and (8, 4) ones to 2 pi.
+    grid = make_grid(8)
+    for integral in (spherical_integral, spherical_mean):
+        with pytest.raises(ValueError, match=r"the grid needs \(8, 8\)"):
+            integral(np.ones(shape), grid)
 
 
 def test_extension_constant_spin0():

@@ -160,23 +160,59 @@ def test_spin_conjugation_matches_reference_synthesis(rng, L):
 
 
 def _kept_kernels(tables):
-    """{(L, spin): kernel} of what the tables keep under ("kernel", L, spin)."""
+    """{(L, |s|): kernel} of what the tables keep under ("kernel", L, |s|)."""
     return {key[1:]: K for key, K in tables._kept.items() if key[0] == "kernel"}
 
 
 def test_kept_kernels_equal_fresh_ones(rng):
-    # A kernel that fits one chunk is built on first use, per band limit and spin, and kept read-only on
+    # A kernel that fits one chunk is built on first use, per band limit and |spin|, and kept read-only on
     # the tables; it is the kernel a fresh table of its band limit gives, so later transforms repeat the
     # first bit for bit, also where a larger table serves a smaller band limit.
     tables = _build_delta(16)
     co = random_coefficients(rng, 2, np.array([0, 1, -3]), 16)
     first = inverse(co, tables).samples
     forward(inverse(random_coefficients(rng, 1, np.array([0]), 8), tables), tables)
-    assert sorted(_kept_kernels(tables)) == [(8, 0), (16, -3), (16, 0), (16, 1)]
-    for (L, spin), K in _kept_kernels(tables).items():
+    assert sorted(_kept_kernels(tables)) == [(8, 0), (16, 0), (16, 1), (16, 3)]
+    for (L, a), K in _kept_kernels(tables).items():
         assert not K.flags.writeable
-        np.testing.assert_array_equal(K, transforms._kernel(_build_delta(L), spin, L, 0, L))
+        np.testing.assert_array_equal(K, transforms._kernel(_build_delta(L), a, L, 0, L))
     np.testing.assert_array_equal(inverse(co, tables).samples, first)
+
+
+@pytest.mark.parametrize("spin", range(-3, 4))
+def test_kernel_times_the_moved_sign_matches_the_unfolded_tables(spin):
+    # The kernel of |s|, times the spin's sign (-1)^(l+m') for s > 0 that the transforms move onto the
+    # order-major layout, is alpha_l Delta^l_{m,m'} Delta^l_{-s,m'} as read from the full tables of each degree.
+    L = 8
+    tables = _build_delta(L)
+    a = abs(spin)
+    K = transforms._kernel(tables, a, L, 0, L)
+    want = np.zeros((L, L - a, L))
+    for l in range(a, L):
+        full = tables[l]  # rows and columns -l .. l
+        mp = np.arange(l + 1)
+        for m in range(l + 1):
+            want[m, l - a, : l + 1] = np.sqrt((2 * l + 1) / (4 * np.pi)) * full[l + m, l + mp] * full[l - spin, l + mp]
+    moved = (-1.0) ** (np.arange(a, L)[:, None] + np.arange(L)) if spin > 0 else 1.0
+    np.testing.assert_allclose(K * moved, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "L, spins", [(8, [-1, 1]), (80, [-1, 1]), (16, [-3, 0, 3]), (80, [-3, 0, 3]), (64, [0, 1, -1])]
+)
+def test_spins_s_and_minus_s_share_one_kernel(rng, L, spins):
+    # A forward and an inverse keep one kernel of 8 L^2 (L - |s|) bytes per |s| (4,161,536 B for spins
+    # 0 and +-1 at L = 64), and a second call reads those same arrays.
+    tables = _build_delta(L)
+    co = random_coefficients(rng, 1, np.array(spins), L)
+    forward(inverse(co, tables), tables)
+    kept = _kept_kernels(tables)
+    served = sorted({abs(s) for s in spins})
+    assert sorted(kept) == [(L, a) for a in served]
+    assert sum(K.nbytes for K in kept.values()) == sum(8 * L * L * (L - a) for a in served)
+    forward(inverse(co, tables), tables)
+    assert _kept_kernels(tables).keys() == kept.keys()
+    assert all(_kept_kernels(tables)[key] is K for key, K in kept.items())
 
 
 @pytest.mark.parametrize("L, kept", [(80, 1), (81, 0), (128, 0)])
@@ -188,16 +224,16 @@ def test_only_kernels_of_one_chunk_are_kept(rng, L, kept):
 
 
 def test_kept_kernels_are_bounded(rng):
-    # Transforming all 2L - 1 spins keeps one kernel of 8 L^2 (L - |spin|) bytes per spin, and a second
-    # transform reads those same arrays rather than building them again.
+    # Transforming all 2L - 1 spins keeps one kernel of 8 L^2 (L - |spin|) bytes per |spin|, L in all, and a
+    # second transform reads those same arrays rather than building them again.
     L = 32
     tables = _build_delta(L)
     spins = np.arange(1 - L, L)
     co = random_coefficients(rng, 1, spins, L)
     forward(inverse(co, tables), tables)
     kept = _kept_kernels(tables)
-    assert sorted(kept) == [(L, int(s)) for s in spins]
-    assert all(K.nbytes == 8 * L * L * (L - abs(s)) <= transforms._KERNEL_CHUNK_BYTES for (_, s), K in kept.items())
+    assert sorted(kept) == [(L, a) for a in range(L)]
+    assert all(K.nbytes == 8 * L * L * (L - a) <= transforms._KERNEL_CHUNK_BYTES for (_, a), K in kept.items())
     forward(inverse(co, tables), tables)
     assert _kept_kernels(tables).keys() == kept.keys()
     assert all(_kept_kernels(tables)[key] is K for key, K in kept.items())
@@ -286,9 +322,9 @@ def test_warm_roundtrip_check_builds_kernels_only_where_they_stream(monkeypatch)
     built = []
     kernel = transforms._kernel
 
-    def counted(tables, spin, L, mu0, mu1):
+    def counted(tables, a, L, mu0, mu1):
         built.append(L)
-        return kernel(tables, spin, L, mu0, mu1)
+        return kernel(tables, a, L, mu0, mu1)
 
     monkeypatch.setattr(transforms, "_kernel", counted)
     assert all(row.passed for row in verification.check_roundtrips())
