@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .signal import SpinCoefficients, SpinSignal, _grouped_spins, _integers, degree_slice, num_coefficients
-from .transforms import DEFAULT_CONFIG, TransformConfig, forward, inverse
+from .transforms import _MAP_CHUNK_BYTES, DEFAULT_CONFIG, TransformConfig, _chunks, forward, inverse
 from .wigner import compute_delta
 
 _MOMENTUM = 0.1  # weight of the batch variance in the running-variance update
@@ -334,6 +334,9 @@ def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEF
     is treated as the first FT's output, and the result is transformed
     back to coefficients after the final activation.  Each FT after an
     activation maps back only the spin-0 channels, the ones sigma changes.
+    Besides its input and output, the block holds its coefficients plus the
+    samples of one chunk of batch entries (at most 1 MiB, or one entry if a
+    single entry is larger): each such round trip runs chunk by chunk.
     Batch norm uses the running statistics; residual_block_train is the
     train-mode entry point.
     """
@@ -366,19 +369,26 @@ def _residual_impl(x, params, config, mode):
     skip = pooled if params.projection is None else spectral_conv(pooled, params.projection)
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)
 
-    if is_signal:
-        out = phase_collapse(inverse(total, tables, config), params.collapse2)
+    if is_signal:  # phase_collapse(inverse(total)), collapsed in the inverse's own fresh samples
+        out = inverse(total, tables, config)
+        out.samples[:, out.spins == 0] = _spin_zero_collapse(out, params.collapse2)
     else:
         out = _collapse_coefficients(total, params.collapse2, tables, config)
     return out, replace(params, bn1=bn1, bn2=bn2)
 
 
 def _collapse_coefficients(coeffs: SpinCoefficients, params: PhaseCollapseParams, tables, config) -> SpinCoefficients:
-    """forward(phase_collapse(inverse(coeffs))), with the forward taken of the new spin-0 stack only."""
-    signal = inverse(coeffs, tables, config)
-    zero = coeffs.spins == 0
-    spin_zero = SpinSignal(_spin_zero_collapse(signal, params), coeffs.spins[zero], signal.grid)
-    del signal
+    """forward(phase_collapse(inverse(coeffs))), with the forward taken of the new spin-0 stack only.
+
+    The collapse is pointwise and no transform mixes batch entries, so the round trip runs over
+    chunks of entries whose samples take at most _MAP_CHUNK_BYTES (1 MiB; one entry if a single
+    entry is larger): besides the coefficients, a call holds one chunk's samples at a time.
+    """
+    L, zero = coeffs.band_limit, coeffs.spins == 0
     out = coeffs.coeffs.copy()
-    out[:, zero] = forward(spin_zero, tables, config).coeffs
-    return SpinCoefficients(out, coeffs.spins.copy(), coeffs.band_limit)
+    for chunk in _chunks(coeffs.batch, 64 * L * L * coeffs.channels, _MAP_CHUNK_BYTES):
+        signal = inverse(SpinCoefficients(coeffs.coeffs[chunk], coeffs.spins, L), tables, config)
+        spin_zero = SpinSignal(_spin_zero_collapse(signal, params), coeffs.spins[zero], signal.grid)
+        del signal
+        out[chunk, zero] = forward(spin_zero, tables, config).coeffs
+    return SpinCoefficients(out, coeffs.spins.copy(), L)

@@ -37,7 +37,7 @@ from .layers import (
     spectral_variance,
 )
 from .molecules import Molecule, calibrate_spread, featurize, parse_xyz, pooled_descriptor
-from .signal import SpinSignal, num_coefficients
+from .signal import SpinCoefficients, SpinSignal, num_coefficients
 from .transforms import TransformConfig, forward, g_matrix, inner_products, inverse
 from .wigner import Rotation, compute_delta, random_rotations, wigner_D, wigner_d
 
@@ -383,6 +383,18 @@ def check_layer_equivariance(seed=0):
     return rows
 
 
+def check_residual_block_batch(seed=0):
+    # Every other layer row runs one batch entry; here the block's activations run in two chunks of
+    # entries (16 of the 17 entries fit 1 MiB of samples), and eval mode treats each entry alone.
+    band_limit = 16
+    rng = np.random.default_rng(seed + 3)
+    coeffs = random_coefficients(rng, 17, np.repeat(SPIN_SET, CHANNELS), band_limit)
+    _, params = residual_block_train(coeffs, harness_residual_params(rng, band_limit))
+    alone = [residual_block(SpinCoefficients(c[None], coeffs.spins, band_limit), params).coeffs for c in coeffs.coeffs]
+    err = max_rel_error(residual_block(coeffs, params).coeffs, np.concatenate(alone))
+    return [_row("layers.residual_block.batch_entries", band_limit, err, 1e-12)]
+
+
 def check_batch_norm_semantics(seed=0):
     rng = np.random.default_rng(seed)
     L = 8
@@ -491,6 +503,7 @@ CHECKS = (
     ("swsft", check_g_symmetry),
     ("swsft", check_parseval),
     ("layers", check_layer_equivariance),
+    ("layers", check_residual_block_batch),
     ("layers", check_batch_norm_semantics),
     ("mol", check_molecule_invariances),
 )

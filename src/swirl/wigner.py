@@ -55,7 +55,8 @@ class WignerTables:
     under ("unfold", l) the unfold of each degree _rotate_degree reads (all of them take about 4/3 of
     delta), and under ("kernel", L, |s|) the kernel that spins s and -s share, for each (L, |s|) transformed
     at L <= 80, where it fits one chunk (transforms._per_order): 8 L^2 (L - |s|) bytes (<= 4 MiB) each, so
-    at most 8 L^2 (L^2 + L) / 2 bytes per L (158.2 MiB for all spins at L = 80).
+    at most 8 L^2 (L^2 + L) / 2 bytes per L (158.2 MiB for all spins at L = 80).  nbytes counts delta
+    and everything kept.
     """
 
     band_limit: int
@@ -77,6 +78,11 @@ class WignerTables:
         q = self.delta[: degree + 1, degree, : degree + 1]
         top = np.concatenate([alt[degree:, None] * q[:, :0:-1], q], axis=1)
         return np.concatenate([alt * top[:0:-1], top])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of delta and of every unfold and kernel kept on the tables."""
+        return self.delta.nbytes + sum(kept.nbytes for kept in list(self._kept.values()))
 
     def _keep(self, key, build) -> np.ndarray:
         """The array kept under key, built by build() and made read-only on first use."""

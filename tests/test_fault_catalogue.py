@@ -135,6 +135,14 @@ def additive_epsilon(monkeypatch):
     _replace(monkeypatch, layers, "spectral_batch_norm", faulty)
 
 
+def entries_off_by_one_in_their_chunk(monkeypatch):
+    # the activation's round trip writes each chunk's entries one row off, cyclically within the chunk:
+    # a one-entry batch is untouched, so only a row that runs several entries sees it
+    faulty = _mutant(layers._collapse_coefficients, "forward(spin_zero, tables, config).coeffs",
+                     "np.roll(forward(spin_zero, tables, config).coeffs, 1, axis=0)")
+    _replace(monkeypatch, layers, "_collapse_coefficients", faulty)
+
+
 @pytest.mark.parametrize("fault, group, failing", [
     (rescaled_pool, "layers", ["layers.spectral_pool.leading_coefficients"]),
     (flipped_delta_entry, "wigner", ["wigner.delta.sum_formula", "wigner.d.sum_formula",
@@ -149,6 +157,7 @@ def additive_epsilon(monkeypatch):
     (transposed_w1, "layers", ["layers.phase_collapse.per_sample_reference"]),
     (dropped_collapse_bias, "layers", ["layers.phase_collapse.per_sample_reference"]),
     (additive_epsilon, "layers", ["layers.batch_norm.exact_variance"]),
+    (entries_off_by_one_in_their_chunk, "layers", ["layers.residual_block.batch_entries"]),
 ], ids=lambda case: case.__name__ if callable(case) else None)
 def test_verify_sees_the_fault(monkeypatch, fault, group, failing):
     fault(monkeypatch)

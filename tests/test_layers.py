@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from swirl.layers import (
 )
 from swirl.grid import make_grid
 from swirl.signal import SpinCoefficients, SpinSignal, num_coefficients
-from swirl.transforms import forward, inverse
+from swirl.transforms import _MAP_CHUNK_BYTES, DEFAULT_CONFIG, _chunks, forward, inverse
 from swirl.wigner import compute_delta
 
 SQRT_4PI = 3.5449077018110318
@@ -838,9 +839,11 @@ def _spin_zero_composition(x, params, mode):
     return collapse(total, params.collapse2).coeffs, bn1, bn2
 
 
+@pytest.mark.parametrize("batch", [3, 17])
 @pytest.mark.parametrize("as_signal", [True, False])
-def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal):
-    # The block collapses only the spin-0 stack and transforms it back; the public phase_collapse,
+def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal, batch):
+    # The block collapses only the spin-0 stack and transforms it back, one chunk of entries at a time
+    # (8 to a chunk here, so 17 entries make three, the last partial); the public phase_collapse,
     # transformed whole, gives the same spin-0 coefficients bit for bit, in train and in eval mode.
     L, spins, c = 16, (0, 1), 4
     total = len(spins) * c
@@ -852,7 +855,8 @@ def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal):
         bn2=BatchNormState.initialize(total),
         collapse2=PhaseCollapseParams.random(rng, c, total),
     )
-    x = random_coefficients(rng, 3, np.repeat(spins, c), L)
+    assert len(_chunks(batch, 64 * L * L * total, _MAP_CHUNK_BYTES)) == (batch + 7) // 8
+    x = random_coefficients(rng, batch, np.repeat(spins, c), L)
     if as_signal:
         x = inverse(x, compute_delta(L))
     out, trained = residual_block_train(x, params)
@@ -862,6 +866,25 @@ def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal):
     np.testing.assert_array_equal(trained.bn2.running_variance, bn2.running_variance)
     out = residual_block(x, trained)
     np.testing.assert_array_equal(out.samples if as_signal else out.coeffs, _spin_zero_composition(x, trained, "eval")[0])
+
+
+def test_activation_round_trip_holds_one_chunk_of_samples(rng):
+    # The round trip runs over chunks of entries of at most 1 MiB of samples, so its peak stays below the
+    # 9 MiB of samples of the whole batch (18 entries of 16 + 16 channels at L=16, as in a molecule's block).
+    L, c = 16, 16
+    tables = compute_delta(L)
+    coeffs = random_coefficients(rng, 18, np.repeat([0, 1], c), L)
+    params = PhaseCollapseParams.random(rng, c, 2 * c)
+    layers._collapse_coefficients(coeffs, params, tables, DEFAULT_CONFIG)  # kept kernels and cached maps
+    tracemalloc.start()
+    try:
+        layers._collapse_coefficients(coeffs, params, tables, DEFAULT_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = coeffs.batch * coeffs.channels * 64 * L * L
+    assert samples == 9 * 2**20
+    assert peak < samples, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_unpool_same_band_limit_is_identity(rng):

@@ -11,6 +11,8 @@ from scipy.special import sph_harm_y
 import swirl
 from swirl import reference, wigner
 from swirl.bench import BenchSpec, run_bench
+from swirl.equivariance import random_coefficients
+from swirl.transforms import forward, inverse
 from swirl.wigner import MAX_BAND_LIMIT, Rotation, compute_delta, random_rotations, wigner_D, wigner_d
 
 
@@ -227,6 +229,17 @@ def test_compute_delta_checks_footprint_before_allocating(monkeypatch):
     rows = run_bench(BenchSpec(resolutions=(130,), repetitions=3, warmup=0, seed=0))
     assert [row.status for row in rows] == ["oom"] * 4
     assert compute_delta(64).delta.nbytes == 2**21  # exactly fits
+
+
+def test_tables_count_their_kept_bytes(rng):
+    # nbytes is delta plus everything kept: a forward of spins 0 and +-1 keeps the kernels of |s| = 0 and 1,
+    # 8 L^2 (L - |s|) bytes each
+    L = 16
+    tables = wigner._build_delta(L)
+    assert tables.nbytes == tables.delta.nbytes
+    signal = inverse(random_coefficients(rng, 1, np.array([0, 1, -1]), L), compute_delta(L))
+    forward(signal, tables)
+    assert tables.nbytes == tables.delta.nbytes + 8 * L * L * L + 8 * L * L * (L - 1)
 
 
 def test_compute_delta_cached():
