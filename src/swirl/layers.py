@@ -151,22 +151,24 @@ class PhaseCollapseParams:
 def phase_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSignal:
     """Replace the spin-0 channel stack by W1 x0 + W2 |x| + b at every sample.
 
-    Nonzero-spin channels pass through unchanged; the modulus |x| is taken
-    over all channels (all spins, including zero), which discards the
-    rotation-induced phases of the nonzero-spin features.
+    Nonzero-spin channels pass through unchanged; the modulus |x| is taken over all channels (all
+    spins, including zero), which discards the rotation-induced phases of the nonzero-spin features.
+    A copy of signal is collapsed in place by _collapse; a batch of 0 entries gives an empty batch.
     """
-    stack = _spin_zero_collapse(signal, params)
-    out = signal.samples.copy()
-    out[:, signal.spins == 0] = stack
-    return SpinSignal(out, signal.spins.copy(), signal.grid)
+    return _collapse(SpinSignal(signal.samples.copy(), signal.spins.copy(), signal.grid), params)
 
 
-def _spin_zero_collapse(signal: SpinSignal, params: PhaseCollapseParams) -> np.ndarray:
-    """The new spin-0 stack W1 x0 + W2 |x| + b, shape (batch, spin-0 channels, n, n)."""
-    zero = _collapse_fit(signal.spins, params)
-    x = signal.samples.reshape(signal.batch, signal.channels, -1)
-    stack = params.w1 @ x[:, zero] + params.w2 @ np.abs(x) + params.bias[:, None]
-    return stack.reshape((signal.batch, -1) + signal.samples.shape[2:])
+def _collapse(signal: SpinSignal, params: PhaseCollapseParams) -> SpinSignal:
+    """signal, with the spin-0 stack of its C-contiguous samples overwritten in place by W1 x0 + W2 |x| + b.
+
+    The collapse is pointwise, so it runs over chunks of entries whose samples take at most _MAP_CHUNK_BYTES
+    (1 MiB; one entry if a single entry is larger): a call holds a few arrays of one chunk's size.
+    """
+    zero, n = _collapse_fit(signal.spins, params), signal.grid.n
+    x = signal.samples.reshape(signal.batch, signal.channels, n**2)
+    for chunk in _chunks(signal.batch, 16 * signal.channels * n**2, _MAP_CHUNK_BYTES):
+        x[chunk, zero] = params.w1 @ x[chunk, zero] + params.w2 @ np.abs(x[chunk]) + params.bias[:, None]
+    return signal
 
 
 def _collapse_fit(spins, params: PhaseCollapseParams) -> np.ndarray:
@@ -334,11 +336,13 @@ def residual_block(x, params: ResidualBlockParams, config: TransformConfig = DEF
     is treated as the first FT's output, and the result is transformed
     back to coefficients after the final activation.  Each FT after an
     activation maps back only the spin-0 channels, the ones sigma changes.
-    Besides its input and output, the block holds its coefficients plus the
-    samples of one chunk of batch entries (at most 1 MiB, or one entry if a
-    single entry is larger): each such round trip runs chunk by chunk.
+    Every activation is one _collapse over chunks of batch entries (at most
+    1 MiB of samples, or one entry if a single entry is larger), in place in
+    a signal output's own samples, or chunk by chunk within each round trip
+    back to coefficients: besides its input and output the block holds its
+    coefficients plus one chunk's samples.  Batch 0 gives an empty batch.
     Batch norm uses the running statistics; residual_block_train is the
-    train-mode entry point.
+    train-mode entry point, which needs at least one entry.
     """
     return _residual_impl(x, params, config, "eval")[0]
 
@@ -370,8 +374,7 @@ def _residual_impl(x, params, config, mode):
     total = SpinCoefficients(h.coeffs + skip.coeffs, h.spins.copy(), L)
 
     if is_signal:  # phase_collapse(inverse(total)), collapsed in the inverse's own fresh samples
-        out = inverse(total, tables, config)
-        out.samples[:, out.spins == 0] = _spin_zero_collapse(out, params.collapse2)
+        out = _collapse(inverse(total, tables, config), params.collapse2)
     else:
         out = _collapse_coefficients(total, params.collapse2, tables, config)
     return out, replace(params, bn1=bn1, bn2=bn2)
@@ -380,15 +383,14 @@ def _residual_impl(x, params, config, mode):
 def _collapse_coefficients(coeffs: SpinCoefficients, params: PhaseCollapseParams, tables, config) -> SpinCoefficients:
     """forward(phase_collapse(inverse(coeffs))), with the forward taken of the new spin-0 stack only.
 
-    The collapse is pointwise and no transform mixes batch entries, so the round trip runs over
-    chunks of entries whose samples take at most _MAP_CHUNK_BYTES (1 MiB; one entry if a single
-    entry is larger): besides the coefficients, a call holds one chunk's samples at a time.
+    No transform mixes batch entries, so the round trip runs over _collapse's chunks of entries, one
+    _collapse each: besides the coefficients, a call holds one chunk's samples at a time.
     """
     L, zero = coeffs.band_limit, coeffs.spins == 0
     out = coeffs.coeffs.copy()
     for chunk in _chunks(coeffs.batch, 64 * L * L * coeffs.channels, _MAP_CHUNK_BYTES):
-        signal = inverse(SpinCoefficients(coeffs.coeffs[chunk], coeffs.spins, L), tables, config)
-        spin_zero = SpinSignal(_spin_zero_collapse(signal, params), coeffs.spins[zero], signal.grid)
+        signal = _collapse(inverse(SpinCoefficients(coeffs.coeffs[chunk], coeffs.spins, L), tables, config), params)
+        spin_zero = SpinSignal(signal.samples[:, zero], coeffs.spins[zero], signal.grid)
         del signal
         out[chunk, zero] = forward(spin_zero, tables, config).coeffs
     return SpinCoefficients(out, coeffs.spins.copy(), L)

@@ -68,9 +68,7 @@ class Molecule:
 
 
 def _parse_block(lines, start: int):
-    """Parse one XYZ block starting at line index start; returns (Molecule, next_start)."""
-    if start >= len(lines):
-        raise XYZParseError(f"line {start + 1}: expected an atom-count line, found end of input")
+    """Parse one XYZ block starting at line index start < len(lines); returns (Molecule, next_start)."""
     count_line = lines[start].strip()
     try:
         count = int(count_line)

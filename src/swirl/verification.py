@@ -367,6 +367,11 @@ def check_layer_equivariance(seed=0):
     err = max(np.abs(spectral_pool(coeffs, band_limit // 2).coeffs - coeffs.coeffs[..., :n]).max(),
               np.abs(spectral_pool(spectral_unpool(coeffs, band_limit + 4), band_limit).coeffs - coeffs.coeffs).max())
     rows.append(_row("layers.spectral_pool.leading_coefficients", band_limit, err, 0.0))
+    # Nor can they see an unpooling that returns its input unpadded; its band limit and padding can.
+    up, kept = spectral_unpool(coeffs, band_limit + 4), num_coefficients(band_limit)
+    err = np.inf if up.band_limit != band_limit + 4 else max(
+        np.abs(up.coeffs[..., :kept] - coeffs.coeffs).max(), np.abs(up.coeffs[..., kept:]).max())
+    rows.append(_row("layers.spectral_unpool.zero_padding", band_limit, err, 0.0))
 
     sig = smooth_harness_signal(rng, band_limit, SPIN_SET, CHANNELS, shared_orders=True)
     params = harness_residual_params(rng, band_limit)

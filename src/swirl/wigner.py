@@ -163,6 +163,15 @@ class Rotation:
 
     @staticmethod
     def from_matrix(R: np.ndarray) -> "Rotation":
+        """The ZYZ angles of a rotation matrix R.
+
+        Raises ValueError unless R is 3x3, orthogonal and of determinant +1, each to within 1e-10 in every
+        entry of R^T R - I and in det R - 1: the angles of a scaled matrix or a reflection would name
+        some other rotation.
+        """
+        R = np.asarray(R, dtype=float)
+        if R.shape != (3, 3) or not (np.abs(R.T @ R - np.eye(3)).max() <= 1e-10 and abs(np.linalg.det(R) - 1) <= 1e-10):
+            raise ValueError(f"not a rotation matrix (3x3, orthogonal, determinant +1 to within 1e-10): {R.tolist()}")
         sin_beta = np.hypot(R[0, 2], R[1, 2])
         beta = np.arctan2(sin_beta, R[2, 2])
         if sin_beta > 1e-12:

@@ -48,7 +48,7 @@ def test_verify_filter_reports_every_matching_row(monkeypatch):
     emitted = [(group, check(seed=0)) for group, check in verification.CHECKS]
     # the filter and the fault catalogue select rows by name: each name is unique and starts with its group
     names = [row.name for _, rows in emitted for row in rows]
-    assert len(set(names)) == len(names) == 58
+    assert len(set(names)) == len(names) == 59
     assert all(row.name.startswith(f"{group}.") for group, rows in emitted for row in rows)
     checks = tuple((group, replay(group, rows)) for group, rows in emitted)
     monkeypatch.setattr(verification, "CHECKS", checks)

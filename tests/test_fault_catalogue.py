@@ -119,14 +119,20 @@ def conjugated_rotation_phases(monkeypatch):
 
 def transposed_w1(monkeypatch):
     # the phase collapse mixes its spin-0 channels by W1^T: equivariant, so only the value row sees it
-    faulty = _mutant(layers._spin_zero_collapse, "params.w1 @", "params.w1.T @")
-    _replace(monkeypatch, layers, "_spin_zero_collapse", faulty)
+    faulty = _mutant(layers._collapse, "params.w1 @", "params.w1.T @")
+    _replace(monkeypatch, layers, "_collapse", faulty)
 
 
 def dropped_collapse_bias(monkeypatch):
     # the phase collapse adds no bias
-    faulty = _mutant(layers._spin_zero_collapse, " + params.bias[:, None]", "")
-    _replace(monkeypatch, layers, "_spin_zero_collapse", faulty)
+    faulty = _mutant(layers._collapse, " + params.bias[:, None]", "")
+    _replace(monkeypatch, layers, "_collapse", faulty)
+
+
+def unpadded_unpool(monkeypatch):
+    # unpooling to a higher band limit returns its input: equivariant, and pooling it back gives the input
+    faulty = _mutant(layers.spectral_unpool, "new_band_limit == L:", "new_band_limit != L:")
+    _replace(monkeypatch, layers, "spectral_unpool", faulty)
 
 
 def additive_epsilon(monkeypatch):
@@ -156,6 +162,7 @@ def entries_off_by_one_in_their_chunk(monkeypatch):
     (conjugated_rotation_phases, "mol", ["mol.rotation_equivariance"]),
     (transposed_w1, "layers", ["layers.phase_collapse.per_sample_reference"]),
     (dropped_collapse_bias, "layers", ["layers.phase_collapse.per_sample_reference"]),
+    (unpadded_unpool, "layers", ["layers.spectral_unpool.zero_padding"]),
     (additive_epsilon, "layers", ["layers.batch_norm.exact_variance"]),
     (entries_off_by_one_in_their_chunk, "layers", ["layers.residual_block.batch_entries"]),
 ], ids=lambda case: case.__name__ if callable(case) else None)

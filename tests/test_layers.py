@@ -868,6 +868,17 @@ def test_residual_block_is_bitwise_its_spin_zero_composition(rng, as_signal, bat
     np.testing.assert_array_equal(out.samples if as_signal else out.coeffs, _spin_zero_composition(x, trained, "eval")[0])
 
 
+def _traced_peak(run):
+    """The tracemalloc peak of run(), after one untraced call fills the caches it reads."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_activation_round_trip_holds_one_chunk_of_samples(rng):
     # The round trip runs over chunks of entries of at most 1 MiB of samples, so its peak stays below the
     # 9 MiB of samples of the whole batch (18 entries of 16 + 16 channels at L=16, as in a molecule's block).
@@ -875,16 +886,83 @@ def test_activation_round_trip_holds_one_chunk_of_samples(rng):
     tables = compute_delta(L)
     coeffs = random_coefficients(rng, 18, np.repeat([0, 1], c), L)
     params = PhaseCollapseParams.random(rng, c, 2 * c)
-    layers._collapse_coefficients(coeffs, params, tables, DEFAULT_CONFIG)  # kept kernels and cached maps
-    tracemalloc.start()
-    try:
-        layers._collapse_coefficients(coeffs, params, tables, DEFAULT_CONFIG)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: layers._collapse_coefficients(coeffs, params, tables, DEFAULT_CONFIG))
     samples = coeffs.batch * coeffs.channels * 64 * L * L
     assert samples == 9 * 2**20
     assert peak < samples, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _trained_block(rng, L, spins, c):
+    """Block parameters with banks of band limit L on c channels of each spin, and nonzero running statistics."""
+    total = len(spins) * c
+
+    def bn():
+        return BatchNormState(np.ones(total), rng.normal(size=total) + 0j, rng.uniform(0.5, 2.0, size=total))
+
+    return ResidualBlockParams(
+        bank1=FilterBank.random(rng, spins, spins, c, c, L),
+        bn1=bn(),
+        collapse1=PhaseCollapseParams.random(rng, c, total),
+        bank2=FilterBank.random(rng, spins, spins, c, c, L),
+        bn2=bn(),
+        collapse2=PhaseCollapseParams.random(rng, c, total),
+    )
+
+
+def test_layers_give_an_empty_batch_for_no_entries(rng):
+    # A batch of 0 entries runs through the collapse, and the eval-mode block of either kind, as an empty
+    # batch; train mode needs an entry to take its batch statistics from.
+    L, spins, c = 8, (0, 1), 2
+    params = _trained_block(rng, L, spins, c)
+    coeffs = SpinCoefficients(np.zeros((0, 4, L * L), dtype=complex), np.repeat(spins, c), L)
+    sig = inverse(coeffs, compute_delta(L))
+    assert sig.samples.shape == (0, 4, 2 * L, 2 * L)
+    out = phase_collapse(sig, params.collapse1)
+    assert out.samples.shape == sig.samples.shape
+    np.testing.assert_array_equal(out.spins, sig.spins)
+    assert residual_block(sig, params).samples.shape == sig.samples.shape
+    assert residual_block(coeffs, params).coeffs.shape == coeffs.coeffs.shape
+    for x in (sig, coeffs):
+        with pytest.raises(ValueError, match=r"train mode requires batch >= 1"):
+            residual_block_train(x, params)
+
+
+def test_collapse_chunks_match_each_entry_alone(rng):
+    # 17 entries of 8 channels at L=16 make three chunks of entries (8, 8 and 1) for the collapse; an
+    # entry's collapse, alone or in the block's signal output, does not depend on where its chunk starts.
+    L, spins, c = 16, (0, 1), 4
+    params = _trained_block(rng, L, spins, c)
+    sig = inverse(random_coefficients(rng, 17, np.repeat(spins, c), L), compute_delta(L))
+    assert len(_chunks(sig.batch, 16 * sig.channels * sig.grid.n**2, _MAP_CHUNK_BYTES)) == 3
+    entries = [SpinSignal(s[None], sig.spins, sig.grid) for s in sig.samples]
+    alone = np.concatenate([phase_collapse(e, params.collapse2).samples for e in entries])
+    np.testing.assert_array_equal(phase_collapse(sig, params.collapse2).samples, alone)
+    alone = np.concatenate([residual_block(e, params).samples for e in entries])
+    np.testing.assert_array_equal(residual_block(sig, params).samples, alone)
+
+
+def _molecule_sized_signal(rng):
+    """Block parameters and the 9 MiB of samples of 18 entries of 16 + 16 channels at L=16, as in a molecule's block."""
+    L, spins, c = 16, (0, 1), 16
+    sig = inverse(random_coefficients(rng, 18, np.repeat(spins, c), L), compute_delta(L))
+    assert sig.samples.nbytes == 9 * 2**20
+    return _trained_block(rng, L, spins, c), sig
+
+
+def test_phase_collapse_holds_one_chunk_beside_its_output(rng):
+    # phase_collapse holds its output copy plus the temporaries of one chunk of entries (1 MiB of
+    # samples): a whole-batch spin-0 stack would add 4.5 MiB.
+    params, sig = _molecule_sized_signal(rng)
+    peak = _traced_peak(lambda: phase_collapse(sig, params.collapse2))
+    assert peak < sig.samples.nbytes + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_signal_output_block_collapses_in_its_output(rng):
+    # The signal-output block holds its 9 MiB of output samples and about 11.6 MiB of coefficients and
+    # transform temporaries, and collapses the output in place: a whole-batch spin-0 stack would add 4.5 MiB.
+    params, sig = _molecule_sized_signal(rng)
+    peak = _traced_peak(lambda: residual_block(sig, params))
+    assert peak < 22 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_unpool_same_band_limit_is_identity(rng):

@@ -53,6 +53,17 @@ def test_parse_bad_count_line():
         parse_xyz("three\ncomment\nH 0 0 0\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("3", "line 2: missing comment line"),
+    ("3\n", "line 2: missing comment line"),
+    ("1\ncomment\n", "line 3: expected 1 atom lines, found only 0"),
+    ("1\ncomment\nH 0 0 0\n2\n", "line 5: missing comment line"),
+])
+def test_parse_truncated_block_names_the_missing_line(text, line):
+    with pytest.raises(XYZParseError, match=line):
+        parse_xyz_many(text)
+
+
 def test_parse_multi_molecule(water_xyz):
     text = water_xyz + "2\nhydrogen\nH 0 0 0\nH 0 0 0.74\n"
     mols = parse_xyz_many(text)

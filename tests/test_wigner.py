@@ -325,9 +325,23 @@ def test_wigner_D_homomorphism(rng):
 def test_from_matrix_handles_degenerate_beta():
     r = Rotation.from_matrix(Rotation(0.9, 0.0, 0.4).matrix())
     np.testing.assert_allclose(r.matrix(), Rotation(1.3, 0.0, 0.0).matrix(), atol=1e-12)
-    flip = Rotation(0.0, np.pi, 0.0)
-    r = Rotation.from_matrix(flip.matrix())
-    np.testing.assert_allclose(r.matrix(), flip.matrix(), atol=1e-12)
+    for alpha in (0.0, 0.4, 1.3, -2.2, 3.0):  # beta = pi: alpha reads R[0, 1] and R[1, 1], and gamma is 0
+        flip = Rotation(alpha, np.pi, 0.0)
+        r = Rotation.from_matrix(flip.matrix())
+        np.testing.assert_allclose(r.matrix(), flip.matrix(), atol=1e-12)
+
+
+@pytest.mark.parametrize("R", [
+    2 * np.eye(3),
+    np.diag([1.0, 1.0, -1.0]),
+    Rotation(0.3, 0.7, 1.1).matrix() + 1e-8,
+    np.eye(2),
+    np.eye(4)[:3],
+    np.full((3, 3), np.nan),
+], ids=["scaled", "reflection", "perturbed", "2x2", "3x4", "nan"])
+def test_from_matrix_rejects_what_is_not_a_rotation(R):
+    with pytest.raises(ValueError, match="not a rotation matrix"):
+        Rotation.from_matrix(R)
 
 
 def test_random_rotations_seeded():
